@@ -8,62 +8,4 @@ GL(2)-modules when additionally |delta|*|lambda| = |epsilon|*|mu|.
 Everything is computed with exact integer arithmetic.
 """
 
-from .errors import PlethykitError
-from .hookcontent import content_poly, dimension, hook_poly, p_poly
-from .plethysm import (
-    CharacterData,
-    PlethysmInstance,
-    SLInstance,
-    character_data,
-    dual,
-    gl_isomorphic,
-    normalize,
-    sl_isomorphic,
-)
-from .qpoly import QPolynomial, q_analog
-from .search import EquivalenceClass, classify_gl, enumerate_classes
-from .staircase import (
-    StaircaseDescriptor,
-    corollary_I_family,
-    corollary_II_family,
-    main_family,
-    main_gl_condition,
-    main_gl_negative,
-    to_instance,
-)
-from .twist import TwistSolution, nu2, nu2_obstruction, solve_twist, verify_twist
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CharacterData",
-    "EquivalenceClass",
-    "PlethykitError",
-    "PlethysmInstance",
-    "QPolynomial",
-    "SLInstance",
-    "StaircaseDescriptor",
-    "TwistSolution",
-    "character_data",
-    "classify_gl",
-    "content_poly",
-    "corollary_I_family",
-    "corollary_II_family",
-    "dimension",
-    "dual",
-    "enumerate_classes",
-    "gl_isomorphic",
-    "hook_poly",
-    "main_family",
-    "main_gl_condition",
-    "main_gl_negative",
-    "normalize",
-    "nu2",
-    "nu2_obstruction",
-    "p_poly",
-    "q_analog",
-    "sl_isomorphic",
-    "solve_twist",
-    "to_instance",
-    "verify_twist",
-]

@@ -3,23 +3,16 @@
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 = isomorphic / found / all checks pass, 1 = not
 isomorphic / nothing found / a check failed, 2 = invalid input.
-
-The environment variable PLETHYKIT_THREADS caps internal parallelism;
-the current implementation evaluates sequentially, which respects any
-cap, but the value is still validated so misconfigurations fail fast.
-Identical invocations produce byte-identical stdout regardless of the
-cap.
 """
 
 import json
-import os
 import sys
 
 import click
 
 from .errors import PlethykitError
 from .hookcontent import p_poly
-from .partition import b_statistic, canonical, partitions_of
+from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
 from .qpoly import QPolynomial
@@ -32,41 +25,24 @@ from .staircase import (
 )
 from .twist import solve_twist, verify_twist
 
+NONNEGATIVE = click.IntRange(min=0)
+
 
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, separators=(",", ":")))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PLETHYKIT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise click.UsageError(
-            f"PLETHYKIT_THREADS must be a positive integer, got {raw!r}"
-        )
-    return cap
-
-
 def _parse_instance(text: str, mode: str):
+    kind = SLInstance if mode == "sl" else PlethysmInstance
     try:
-        obj = json.loads(text)
-        if mode == "sl":
-            return SLInstance(canonical(obj["lambda"]), int(obj["d"]))
-        d1, d2 = (int(part) for part in obj["delta"])
-        return PlethysmInstance(canonical(obj["lambda"]), (d1, d2))
-    except (PlethykitError, ValueError, KeyError, TypeError) as exc:
+        return kind.from_json(json.loads(text))
+    except (PlethykitError, ValueError, TypeError, RecursionError) as exc:
         raise click.UsageError(f"bad instance {text!r}: {exc}") from exc
 
 
 @click.group()
 def main():
     """Exact SL(2)/GL(2) isomorphism tooling for plethysms."""
-    _thread_cap()
 
 
 @main.command()
@@ -126,7 +102,7 @@ def family(kind, xs, ys, s, u, v, z):
 @main.command()
 @click.argument("instance_a")
 @click.argument("instance_b")
-@click.option("--bound", type=int, default=50, show_default=True, help="l, m search bound.")
+@click.option("--bound", type=NONNEGATIVE, default=50, show_default=True, help="l, m search bound.")
 def twist(instance_a, instance_b, bound):
     """Find column/delta twists making an SL pair GL-isomorphic."""
     a = _parse_instance(instance_a, "sl")
@@ -159,9 +135,9 @@ def twist(instance_a, instance_b, bound):
 
 
 @main.command()
-@click.option("--max-weight", required=True, type=int)
-@click.option("--max-d", required=True, type=int)
-@click.option("--bound", type=int, default=50, show_default=True, help="twist search bound.")
+@click.option("--max-weight", required=True, type=NONNEGATIVE)
+@click.option("--max-d", required=True, type=NONNEGATIVE)
+@click.option("--bound", type=NONNEGATIVE, default=50, show_default=True, help="twist search bound.")
 def search(max_weight, max_d, bound):
     """Enumerate SL-equivalence classes, one JSON line per class."""
     try:
@@ -182,8 +158,8 @@ def search(max_weight, max_d, bound):
 
 
 @main.command("oracle-check")
-@click.option("--max-weight", required=True, type=int)
-@click.option("--max-d", required=True, type=int)
+@click.option("--max-weight", required=True, type=NONNEGATIVE)
+@click.option("--max-d", required=True, type=NONNEGATIVE)
 @click.option("--inject-fault", is_flag=True, hidden=True)
 def oracle_check(max_weight, max_d, inject_fault):
     """Check bialternant, tableau, and hook-content routes against

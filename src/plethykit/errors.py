@@ -5,10 +5,6 @@ class PlethykitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class LengthExceedsK(PlethykitError):
-    """A partition has more parts than the ambient box allows."""
-
-
 class CellOutsideDiagram(PlethykitError):
     """A (row, col) cell does not lie inside the Young diagram."""
 
@@ -30,11 +26,8 @@ class ZeroPolynomial(PlethykitError):
 
 
 class LengthExceedsDimension(PlethykitError):
-    """length(lambda) > d+1, i.e. the module S_lambda(C^{d+1}) is zero."""
-
-
-class EnumerationBudgetExceeded(PlethykitError):
-    """A brute-force tableau enumeration passed its filling cap."""
+    """A partition has more rows than its box allows; for an instance
+    (lambda, d), length(lambda) > d+1 and S_lambda(C^{d+1}) is zero."""
 
 
 class NotSLIsomorphic(PlethykitError):
@@ -54,7 +47,7 @@ class EmptyDiagram(PlethykitError):
 
 
 class BudgetExceeded(PlethykitError):
-    """An enumeration passed its configured instance cap."""
+    """An enumeration passed its fixed limit (instances or fillings)."""
 
 
 class ConsistencyError(PlethykitError):

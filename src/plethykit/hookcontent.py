@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InexactDivision, LengthExceedsDimension
-from .partition import Partition, b_statistic, conjugate, weight
+from .partition import Partition, conjugate
 from .qpoly import QPolynomial
 
 
@@ -68,41 +68,20 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
 def _analog_ratio(numerators: list[int], denominators: list[int]) -> list[int]:
     """Coefficients of prod [a] / prod [b], assuming the ratio is polynomial.
 
-    Equal factors are cancelled outright; the rest is handled through
-    [a] = (1 - q^a)/(1 - q).  All multiplications happen before any
-    division, so every intermediate division step stays exact.
+    Both lists have one entry per cell, so after cancelling equal factors
+    the rest pairs up through [a]/[b] = (1 - q^a)/(1 - q^b).  All
+    multiplications happen before any division, so every intermediate
+    division step stays exact.
     """
     num = Counter(numerators)
     den = Counter(denominators)
     shared = num & den
-    ups = sorted((num - shared).elements())
-    downs = sorted((den - shared).elements())
-    if len(ups) > len(downs):
-        downs += [1] * (len(ups) - len(downs))
-    elif len(downs) > len(ups):
-        ups += [1] * (len(downs) - len(ups))
     f = [1]
-    for a in ups:
+    for a in sorted((num - shared).elements()):
         f = _times_one_minus(f, a)
-    for b in downs:
+    for b in sorted((den - shared).elements()):
         f = _over_one_minus(f, b)
     return f
-
-
-def hook_poly(p: Partition) -> QPolynomial:
-    """H_p(q), the product of [h(u)] over all cells u of the diagram."""
-    return QPolynomial(_analog_ratio(_hook_multiset(p), []))
-
-
-def content_poly(p: Partition, d: int) -> QPolynomial:
-    """C^d_p(q), the product of [d+1+c(u)] over all cells.
-
-    Raises LengthExceedsDimension unless length(p) <= d+1, since deeper
-    diagrams would contribute a factor [a] with a <= 0.
-    """
-    if len(p) > d + 1:
-        raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    return QPolynomial(_analog_ratio(_content_multiset(p, d), []))
 
 
 @lru_cache(maxsize=8192)
@@ -119,8 +98,3 @@ def p_poly(p: Partition, d: int) -> QPolynomial:
 def dimension(p: Partition, d: int) -> int:
     """dim S_p(C^{d+1}), i.e. P^d_p evaluated at q = 1."""
     return p_poly(p, d).eval_at_one()
-
-
-def degree_formula(p: Partition, d: int) -> int:
-    """The predicted degree |p|*d - 2*b(p) of P^d_p."""
-    return weight(p) * d - 2 * b_statistic(p)

@@ -14,15 +14,15 @@ code with it:
 """
 
 from .errors import (
+    BudgetExceeded,
     ConsistencyError,
-    EnumerationBudgetExceeded,
     InexactDivision,
     LengthExceedsDimension,
 )
 from .partition import Partition, weight
 from .qpoly import QPolynomial
 
-DEFAULT_BUDGET = 10_000_000
+FILLING_BUDGET = 10_000_000
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -84,13 +84,14 @@ def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def _enumerate_fillings(p: Partition, k: int, budget: int):
+def _enumerate_fillings(p: Partition, k: int):
     """Yield the entry-sum-minus-cells exponent of every semistandard
     filling of p with entries in {1..k}: rows weakly increase left to
     right, columns strictly increase top to bottom."""
     cells = [(i, j) for i, row_len in enumerate(p) for j in range(row_len)]
     rows = [[0] * row_len for row_len in p]
     total = len(cells)
+    budget = FILLING_BUDGET
     seen = 0
 
     def fill(t: int, exponent: int):
@@ -98,7 +99,7 @@ def _enumerate_fillings(p: Partition, k: int, budget: int):
         if t == total:
             seen += 1
             if seen > budget:
-                raise EnumerationBudgetExceeded(
+                raise BudgetExceeded(
                     f"more than {budget} fillings of {p} with entries <= {k}"
                 )
             yield exponent
@@ -115,22 +116,16 @@ def _enumerate_fillings(p: Partition, k: int, budget: int):
     yield from fill(0, 0)
 
 
-def specialize_ssyt(p: Partition, d: int, budget: int = DEFAULT_BUDGET) -> QPolynomial:
+def specialize_ssyt(p: Partition, d: int) -> QPolynomial:
     """s_p(1, q, ..., q^d) by direct semistandard-tableau enumeration.
 
     Raises LengthExceedsDimension unless length(p) <= d+1, and
-    EnumerationBudgetExceeded when more than ``budget`` fillings exist.
+    BudgetExceeded when more than FILLING_BUDGET fillings exist.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     coeffs = [0] * (weight(p) * d + 1)
-    for exponent in _enumerate_fillings(p, d + 1, budget):
+    for exponent in _enumerate_fillings(p, d + 1):
         coeffs[exponent] += 1
     return QPolynomial(coeffs)
 
-
-def ssyt_count(p: Partition, d: int, budget: int = DEFAULT_BUDGET) -> int:
-    """The number of semistandard fillings of p with entries in {1..d+1}."""
-    if len(p) > d + 1:
-        raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    return sum(1 for _ in _enumerate_fillings(p, d + 1, budget))

@@ -7,7 +7,7 @@ pairs, so ``(1, 1)`` is the top-left box of the diagram.
 
 from collections.abc import Iterable, Iterator
 
-from .errors import CellOutsideDiagram, LengthExceedsK
+from .errors import CellOutsideDiagram, LengthExceedsDimension
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -51,10 +51,10 @@ def complement(p: Partition, k: int) -> Partition:
     With parts zero-padded to length k, the complement reads
     (p[0]-p[k-1], ..., p[0]-p[1]) and is returned in canonical form.
 
-    Raises LengthExceedsK if p has more than k parts.
+    Raises LengthExceedsDimension if p has more than k parts.
     """
     if len(p) > k:
-        raise LengthExceedsK(f"partition {p} does not fit in {k} rows")
+        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
     if not p:
         return ()
     padded = p + (0,) * (k - len(p))
@@ -68,10 +68,10 @@ def tilde_reduce(p: Partition, k: int) -> tuple[Partition, int]:
     e.g. ((4,3,2), k=3) -> ((2,1), 2).  The reduced partition has fewer
     than k parts.
 
-    Raises LengthExceedsK if p has more than k parts.
+    Raises LengthExceedsDimension if p has more than k parts.
     """
     if len(p) > k:
-        raise LengthExceedsK(f"partition {p} does not fit in {k} rows")
+        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
     if len(p) < k or k == 0:
         return p, 0
     shift = p[-1]

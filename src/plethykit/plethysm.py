@@ -22,6 +22,16 @@ from .partition import (
 from .qpoly import QPolynomial
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_keys(obj, keys: set[str]) -> None:
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise ValueError(f"expected an object with the keys {sorted(keys)}, got {obj!r}")
+
+
 @dataclass(frozen=True)
 class SLInstance:
     """A plethysm seen as an SL(2)-module: the partition and d only."""
@@ -31,6 +41,7 @@ class SLInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", canonical(self.lam))
+        _require_int("d", self.d)
         if self.d < 0:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         if len(self.lam) > self.d + 1:
@@ -42,8 +53,10 @@ class SLInstance:
         return {"lambda": list(self.lam), "d": self.d}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SLInstance":
-        return cls(canonical(obj["lambda"]), obj["d"])
+    def from_json(cls, obj) -> "SLInstance":
+        """Parse {"lambda": [...], "d": n}, rejecting any other shape."""
+        _require_keys(obj, {"lambda", "d"})
+        return cls(obj["lambda"], obj["d"])
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,11 @@ class PlethysmInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", canonical(self.lam))
+        object.__setattr__(self, "delta", tuple(self.delta))
+        if len(self.delta) != 2:
+            raise ValueError(f"delta must have exactly two entries, got {self.delta}")
+        for part in self.delta:
+            _require_int("each delta entry", part)
         d1, d2 = self.delta
         if not (d1 >= d2 >= 0):
             raise ValueError(f"delta must satisfy delta1 >= delta2 >= 0, got {self.delta}")
@@ -74,9 +92,10 @@ class PlethysmInstance:
         return {"lambda": list(self.lam), "delta": list(self.delta)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PlethysmInstance":
-        d1, d2 = obj["delta"]
-        return cls(canonical(obj["lambda"]), (d1, d2))
+    def from_json(cls, obj) -> "PlethysmInstance":
+        """Parse {"lambda": [...], "delta": [d1, d2]}, rejecting any other shape."""
+        _require_keys(obj, {"lambda", "delta"})
+        return cls(obj["lambda"], obj["delta"])
 
 
 @dataclass(frozen=True)

@@ -61,21 +61,6 @@ class QPolynomial:
     def __repr__(self) -> str:
         return f"QPolynomial({list(self._coeffs)})"
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for e, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                coef = "" if c == 1 else "-" if c == -1 else str(c)
-                terms.append(f"{coef}{var}")
-        return " + ".join(terms).replace("+ -", "- ")
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -175,10 +160,6 @@ class QPolynomial:
     def to_json(self) -> list[str]:
         """Coefficients as decimal strings, index = exponent."""
         return [str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "QPolynomial":
-        return cls(int(c) for c in data)
 
 
 ONE = QPolynomial([1])

@@ -1,10 +1,10 @@
 """Bounded enumeration of SL-equivalence classes of plethysm instances.
 
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
-<= max_d are grouped by the exact coefficient vector of their P
-polynomial, which is a complete SL-isomorphism invariant.  Classes with
-at least two members are reported, and each member pair is classified
-by how (or whether) the SL-isomorphism upgrades to a GL one.
+<= max_d are grouped by their exact P polynomial, which is a complete
+SL-isomorphism invariant.  Classes with at least two members are
+reported, and each member pair is classified by how (or whether) the
+SL-isomorphism upgrades to a GL one.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from .plethysm import SLInstance
 from .qpoly import QPolynomial
 from .twist import nu2_obstruction, solve_twist
 
-DEFAULT_INSTANCE_CAP = 1_000_000
+INSTANCE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,29 +31,25 @@ class EquivalenceClass:
     members: tuple[SLInstance, ...]
 
 
-def enumerate_classes(
-    max_weight: int, max_d: int, cap: int = DEFAULT_INSTANCE_CAP
-) -> list[EquivalenceClass]:
+def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     """Group all normalized instances within the bounds by P polynomial.
 
     Only classes with two or more members are returned, sorted by key
     degree and then lexicographically by key coefficients.
 
-    Raises BudgetExceeded when the instance count passes ``cap``.
+    Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
     count = 0
-    groups: dict[tuple[int, ...], list[SLInstance]] = {}
+    groups: dict[QPolynomial, list[SLInstance]] = {}
     for d in range(1, max_d + 1):
         for n in range(1, max_weight + 1):
             for lam in partitions_of(n, d):
                 count += 1
-                if count > cap:
-                    raise BudgetExceeded(f"more than {cap} instances in bounds")
-                inst = SLInstance(lam, d)
-                key = p_poly(lam, d).coefficients
-                groups.setdefault(key, []).append(inst)
+                if count > INSTANCE_CAP:
+                    raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")
+                groups.setdefault(p_poly(lam, d), []).append(SLInstance(lam, d))
     classes = [
-        EquivalenceClass(QPolynomial(key), tuple(sorted(members, key=lambda i: (i.d, i.lam))))
+        EquivalenceClass(key, tuple(sorted(members, key=lambda i: (i.d, i.lam))))
         for key, members in groups.items()
         if len(members) >= 2
     ]

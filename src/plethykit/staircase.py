@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .errors import EmptyDiagram, ShapeMismatch
-from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
+from .plethysm import PlethysmInstance, SLInstance, sl_isomorphic
 
 Sequence = tuple[int, ...]
 
@@ -32,13 +32,6 @@ class StaircaseDescriptor:
                 raise ValueError(f"step sizes must be nonnegative, got {self.steps}")
         if self.slack < 0:
             raise ValueError(f"slack must be nonnegative, got {self.slack}")
-
-    def to_json(self) -> dict:
-        return {"steps": [list(step) for step in self.steps], "slack": self.slack}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StaircaseDescriptor":
-        return cls(tuple((w, h) for w, h in obj["steps"]), obj["slack"])
 
 
 def _descriptor(widths: Sequence, heights_slack: Sequence) -> StaircaseDescriptor:
@@ -142,30 +135,6 @@ def main_gl_condition(
 def minimal_lift(inst: SLInstance) -> PlethysmInstance:
     """The canonical GL lift delta = (d, 0) of an SL instance."""
     return PlethysmInstance(inst.lam, (inst.d, 0))
-
-
-def main_gl_negative(u: int, v: int, family: list[SLInstance]) -> bool:
-    """Whether the column pairs (A,C), (B,D) and the swapped pair (C,D)
-    of a four-member family all fail gl_isomorphic under minimal lifts.
-
-    A column pair is always SL-isomorphic (C is the box complement of A
-    with the same d), so for d >= 1 it is GL-isomorphic exactly when A
-    fills half of its (d+1) x W box, W the width sum (lam_1 when every
-    entry is positive); likewise for (B, D).  On squares whose (C, D)
-    pair is not GL-isomorphic, such as every square with u != v and
-    positive entries <= 3, this returns False exactly where a column pair
-    fills half its box.
-
-    Raises ValueError when u == v, where the square collapses and the
-    question is vacuous.
-    """
-    if u == v:
-        raise ValueError("u and v must differ")
-    a, b, c, d = family
-    return all(
-        not gl_isomorphic(minimal_lift(first), minimal_lift(second))
-        for first, second in ((a, c), (b, d), (c, d))
-    )
 
 
 # ----------------------------------------------------------------------

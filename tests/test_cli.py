@@ -6,8 +6,8 @@ from click.testing import CliRunner
 from plethykit.cli import main
 
 
-def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+def run(*args):
+    return CliRunner().invoke(main, list(args))
 
 
 def lines(result):
@@ -52,19 +52,43 @@ def test_verify_gl_mode():
     assert result.exit_code == 1
 
 
+# SL instances the parser must reject, each mapped to the instance a
+# coercing parser would read it as.
+COERCED_SL = {
+    '{"lambda": [1], "d": 1.7}': '{"lambda": [1], "d": 1}',
+    '{"lambda": [1], "d": true}': '{"lambda": [1], "d": 1}',
+    '{"lambda": [1], "d": "3"}': '{"lambda": [1], "d": 3}',
+    '{"lambda": [1], "d": 1, "delta": [2, 0]}': '{"lambda": [1], "d": 1}',  # stray key
+}
+
+
+def _bad(text, mode="sl", id=None):
+    return pytest.param(text, mode, id=id or text)
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, mode",
     [
-        "not json",
-        '{"lambda": [2, 2], "d": 0}',  # too many rows for the dimension
-        '{"lambda": [1, 2], "d": 3}',  # not weakly decreasing
-        '{"d": 3}',  # missing lambda
-        '{"lambda": [1], "delta": [2, 0]}',  # delta given in sl mode
+        _bad("not json"),
+        _bad('{"lambda": [2, 2], "d": 0}'),  # too many rows for the dimension
+        _bad('{"lambda": [1, 2], "d": 3}'),  # not weakly decreasing
+        _bad('{"d": 3}'),  # missing lambda
+        _bad('{"lambda": [1], "delta": [2, 0]}'),  # delta given in sl mode
+        *(_bad(text) for text in COERCED_SL),
+        _bad('[{"lambda": [1], "d": 1}]'),  # not an object
+        _bad("[" * 100_000 + "]" * 100_000, id="nested too deep to decode"),
+        _bad('{"lambda": [1], "delta": [2.5, 0]}', "gl"),
+        _bad('{"lambda": [1], "delta": "30"}', "gl"),
+        _bad('{"lambda": [1], "delta": [true, 0]}', "gl"),
+        _bad('{"lambda": [1], "delta": [3, 0, 0]}', "gl"),
+        _bad('{"lambda": [1], "delta": 3}', "gl"),
     ],
 )
-def test_verify_rejects_bad_instances(bad):
-    result = run("verify", bad, SL_A)
+def test_verify_rejects_bad_instances(bad, mode):
+    good = SL_A if mode == "sl" else '{"lambda": [1], "delta": [3, 0]}'
+    result = run("verify", bad, good, "--mode", mode)
     assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_verify_gl_mode_requires_delta():
@@ -134,6 +158,30 @@ def test_twist_bound_zero_finds_nothing():
     ]
 
 
+@pytest.mark.parametrize("bad", COERCED_SL)
+def test_twist_rejects_coerced_instances(bad):
+    read_as = COERCED_SL[bad]
+    assert run("twist", read_as, read_as).exit_code == 0
+    assert run("twist", bad, read_as).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("twist", SL_A, SL_B, "--bound", "-1"),
+        ("search", "--max-weight", "-3", "--max-d", "2"),
+        ("search", "--max-weight", "2", "--max-d", "-1"),
+        ("search", "--max-weight", "2", "--max-d", "2", "--bound", "-1"),
+        ("oracle-check", "--max-weight", "-1", "--max-d", "2"),
+        ("oracle-check", "--max-weight", "2", "--max-d", "-1"),
+    ],
+)
+def test_negative_parameters_are_invalid_input(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 def test_twist_requires_sl_isomorphic_inputs():
     result = run("twist", '{"lambda": [1], "d": 1}', '{"lambda": [2], "d": 1}')
     assert result.exit_code == 2
@@ -160,29 +208,6 @@ def test_search_small():
     }
     assert all(p["gl"]["unresolved"] == [] for p in payloads)
     assert "4 classes" in result.stderr
-
-
-def test_search_stdout_is_deterministic_across_thread_caps():
-    outputs = {
-        run("search", "--max-weight", "4", "--max-d", "4", env=env).stdout
-        for env in (
-            None,
-            {"PLETHYKIT_THREADS": "1"},
-            {"PLETHYKIT_THREADS": "4"},
-            {"PLETHYKIT_THREADS": "32"},
-        )
-    }
-    assert len(outputs) == 1
-
-
-@pytest.mark.parametrize("value", ["zero", "0", "-2", ""])
-def test_thread_cap_must_be_a_positive_integer(value):
-    result = run(
-        "search", "--max-weight", "2", "--max-d", "2",
-        env={"PLETHYKIT_THREADS": value},
-    )
-    assert result.exit_code == 2
-    assert "PLETHYKIT_THREADS" in result.stderr
 
 
 def test_oracle_check():

@@ -5,18 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import LengthExceedsDimension
-from plethykit.hookcontent import (
-    content_poly,
-    degree_formula,
-    dimension,
-    hook_poly,
-    p_poly,
-)
+from plethykit.hookcontent import dimension, p_poly
 from plethykit.partition import (
     b_statistic,
     cells,
     complement,
     conjugate,
+    content,
     hook_length,
     weight,
 )
@@ -33,29 +28,40 @@ def _analog_product(values):
 
 
 def test_hook_poly_known_values():
-    assert hook_poly(()) == ONE
-    assert hook_poly((1,)) == ONE
-    assert hook_poly((2,)) == q_analog(2)
-    assert hook_poly((1, 1)) == q_analog(2)
-    # hooks of (2,2) are {3,2,2,1}
-    assert hook_poly((2, 2)) == q_analog(3) * q_analog(2) * q_analog(2)
+    # The hook product H_p = prod [h(u)] is what P divides out of the
+    # content product: P^d_p * H_p = C^d_p.
+    assert p_poly((), 2) == ONE
+    assert p_poly((1,), 0) == ONE
+    # hooks of (2,) and of (1, 1) are {2, 1}; contents at d = 1 are
+    # {2, 3} and {2, 1}
+    assert p_poly((2,), 1) * q_analog(2) == q_analog(2) * q_analog(3)
+    assert p_poly((1, 1), 1) * q_analog(2) == q_analog(2)
+    # hooks of (2, 2) are {3, 2, 2, 1}; contents at d = 2 are {3, 4, 2, 3}
+    hooks = q_analog(3) * q_analog(2) * q_analog(2)
+    assert p_poly((2, 2), 2) * hooks == q_analog(3) * q_analog(4) * q_analog(2) * q_analog(3)
 
 
 @given(partitions(max_weight=12))
 def test_hook_poly_is_the_analog_product_of_hooks(p):
-    assert hook_poly(p) == _analog_product(hook_length(p, u) for u in cells(p))
-    assert hook_poly(p) == hook_poly(conjugate(p))
+    # C^d_p / P^d_p is the same conjugation-invariant hook product for
+    # every d.
+    hooks = _analog_product(hook_length(p, u) for u in cells(p))
+    conj = conjugate(p)
+    assert hooks == _analog_product(hook_length(conj, u) for u in cells(conj))
+    for d in (max(len(p) - 1, 0), len(p) + 2):
+        contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
+        assert contents.exact_div(p_poly(p, d)) == hooks
 
 
 def test_content_poly_known_values():
-    assert content_poly((), 3) == ONE
-    assert content_poly((1,), 5) == q_analog(6)
+    # C^d_p = prod [d+1+c(u)] is P^d_p times the hook product.
+    assert p_poly((1,), 5) == q_analog(6)
     # contents of (2,) are {0,1}: [4]*[5]
-    assert content_poly((2,), 3) == q_analog(4) * q_analog(5)
+    assert p_poly((2,), 3) * q_analog(2) == q_analog(4) * q_analog(5)
     # contents of (1,1) are {0,-1}: [4]*[3]
-    assert content_poly((1, 1), 3) == q_analog(4) * q_analog(3)
+    assert p_poly((1, 1), 3) * q_analog(2) == q_analog(4) * q_analog(3)
     with pytest.raises(LengthExceedsDimension):
-        content_poly((1, 1, 1), 1)
+        p_poly((1, 1, 1), 1)
 
 
 def test_p_poly_known_values():
@@ -93,7 +99,9 @@ def test_p_poly_divides_content_by_hooks_exactly(p, d):
         with pytest.raises(LengthExceedsDimension):
             p_poly(p, d)
         return
-    assert p_poly(p, d) == content_poly(p, d).exact_div(hook_poly(p))
+    contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
+    hooks = _analog_product(hook_length(p, u) for u in cells(p))
+    assert p_poly(p, d) == contents.exact_div(hooks)
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))
@@ -103,7 +111,7 @@ def test_p_poly_shape_invariants(p, d):
     f = p_poly(p, d)
     assert f[0] == 1
     assert f.is_palindromic()
-    assert f.degree == degree_formula(p, d) == weight(p) * d - 2 * b_statistic(p)
+    assert f.degree == weight(p) * d - 2 * b_statistic(p)
     assert all(c > 0 for c in f.coefficients)
     assert f.eval_at_one() == dimension(p, d)
 
@@ -130,10 +138,11 @@ def test_dimension_matches_weyl_formula():
 
 
 def test_degree_formula_known_values():
-    assert degree_formula((2,), 3) == 6
-    assert degree_formula((1, 1), 3) == 4
-    assert degree_formula((2, 2), 2) == 4
-    assert degree_formula((), 5) == 0
+    # deg P^d_p = |p|*d - 2*b(p)
+    assert p_poly((2,), 3).degree == 6
+    assert p_poly((1, 1), 3).degree == 4
+    assert p_poly((2, 2), 2).degree == 4
+    assert p_poly((), 5).degree == 0
 
 
 def test_p_poly_cache_returns_equal_objects():
@@ -146,4 +155,4 @@ def test_hook_content_handles_large_staircase_shapes():
     f = p_poly(p, 9)
     assert f[0] == 1
     assert f.is_palindromic()
-    assert f.degree == degree_formula(p, 9)
+    assert f.degree == weight(p) * 9 - 2 * b_statistic(p)

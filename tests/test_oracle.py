@@ -1,15 +1,13 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethykit.errors import EnumerationBudgetExceeded, LengthExceedsDimension
+from plethykit import oracle
+from plethykit.errors import BudgetExceeded, LengthExceedsDimension
 from plethykit.hookcontent import p_poly
-from plethykit.oracle import (
-    DEFAULT_BUDGET,
-    specialize_bialternant,
-    specialize_ssyt,
-    ssyt_count,
-)
+from plethykit.oracle import specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, complement, partitions_of, weight
 from plethykit.qpoly import ONE, QPolynomial, q_analog
 
@@ -34,22 +32,21 @@ def test_ssyt_known_values():
     assert specialize_ssyt((), 2) == ONE
     assert specialize_ssyt((1,), 2) == q_analog(3)
     assert specialize_ssyt((2, 2), 1) == QPolynomial([0, 0, 1])
-    assert ssyt_count((2,), 3) == 10
-    assert ssyt_count((1, 1, 1), 2) == 1
+    assert specialize_ssyt((2,), 3).eval_at_one() == 10
+    assert specialize_ssyt((1, 1, 1), 2).eval_at_one() == 1
     with pytest.raises(LengthExceedsDimension):
         specialize_ssyt((1, 1), 0)
-    with pytest.raises(LengthExceedsDimension):
-        ssyt_count((1, 1), 0)
 
 
-def test_budget_is_enforced():
-    assert DEFAULT_BUDGET == 10_000_000
-    with pytest.raises(EnumerationBudgetExceeded):
-        specialize_ssyt((2,), 3, budget=5)
-    with pytest.raises(EnumerationBudgetExceeded):
-        ssyt_count((2,), 3, budget=9)
+def test_budget_is_enforced(monkeypatch):
+    assert oracle.FILLING_BUDGET == 10_000_000
+    # (2,) has exactly 10 fillings with entries <= 4.
+    monkeypatch.setattr(oracle, "FILLING_BUDGET", 9)
+    with pytest.raises(BudgetExceeded):
+        specialize_ssyt((2,), 3)
     # exactly at the count is fine
-    assert ssyt_count((2,), 3, budget=10) == 10
+    monkeypatch.setattr(oracle, "FILLING_BUDGET", 10)
+    assert specialize_ssyt((2,), 3).eval_at_one() == 10
 
 
 def test_routes_agree_exhaustively_small():
@@ -74,7 +71,7 @@ def test_routes_agree_and_match_hook_content(p, d):
 def test_eval_at_one_counts_tableaux(p, d):
     if len(p) > d + 1:
         return
-    assert specialize_bialternant(p, d).eval_at_one() == ssyt_count(p, d)
+    assert specialize_bialternant(p, d).eval_at_one() == specialize_ssyt(p, d).eval_at_one()
 
 
 @given(partitions(max_weight=8, max_parts=4), st.integers(0, 5))
@@ -94,4 +91,5 @@ def test_bialternant_handles_wide_rows():
     f = specialize_bialternant((8,), 6)
     g = specialize_ssyt((8,), 6)
     assert f == g
-    assert f.eval_at_one() == ssyt_count((8,), 6)
+    # a single row of 8 cells with entries <= 7: C(8 + 6, 6) fillings
+    assert f.eval_at_one() == comb(14, 6)

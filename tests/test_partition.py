@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plethykit.errors import CellOutsideDiagram, LengthExceedsK
+from plethykit.errors import CellOutsideDiagram, LengthExceedsDimension
 from plethykit.partition import (
     add,
     b_statistic,
@@ -67,7 +67,7 @@ def test_complement_known_values():
     assert complement((2, 2), 2) == ()
     assert complement((5,), 1) == ()
     assert complement((), 4) == ()
-    with pytest.raises(LengthExceedsK):
+    with pytest.raises(LengthExceedsDimension):
         complement((1, 1, 1), 2)
 
 
@@ -91,14 +91,14 @@ def test_tilde_reduce_known_values():
     assert tilde_reduce((2, 2, 2), 3) == ((), 2)
     assert tilde_reduce((3, 1), 3) == ((3, 1), 0)
     assert tilde_reduce((), 5) == ((), 0)
-    with pytest.raises(LengthExceedsK):
+    with pytest.raises(LengthExceedsDimension):
         tilde_reduce((1, 1, 1, 1), 3)
 
 
 @given(partitions(), st.integers(1, 8))
 def test_tilde_reduce_recomposes(p, k):
     if len(p) > k:
-        with pytest.raises(LengthExceedsK):
+        with pytest.raises(LengthExceedsDimension):
             tilde_reduce(p, k)
         return
     reduced, shift = tilde_reduce(p, k)

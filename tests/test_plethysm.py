@@ -65,6 +65,20 @@ def test_instance_canonicalization_and_validation():
         PlethysmInstance((2,), (1, -1))
 
 
+def test_instances_reject_coercible_values():
+    for d in (True, 1.5, "1"):
+        with pytest.raises(ValueError):
+            SLInstance((1,), d)
+    for delta in ((2.5, 0), (True, 0), (3, 0, 0), "30"):
+        with pytest.raises(ValueError):
+            PlethysmInstance((1,), delta)
+    for obj in ([], {"lambda": [1]}, {"lambda": [1], "d": 1, "delta": [1, 0]}):
+        with pytest.raises(ValueError):
+            SLInstance.from_json(obj)
+    with pytest.raises(ValueError):
+        PlethysmInstance.from_json({"lambda": [1], "d": 1})
+
+
 def test_instance_json_round_trip():
     a = SLInstance((3, 1), 4)
     assert a.to_json() == {"lambda": [3, 1], "d": 4}

@@ -1,5 +1,6 @@
 import pytest
 
+from plethykit import search
 from plethykit.errors import BudgetExceeded
 from plethykit.hookcontent import p_poly
 from plethykit.oracle import specialize_ssyt
@@ -77,11 +78,14 @@ def test_grouping_key_matches_the_tableau_oracle():
             )
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    assert search.INSTANCE_CAP == 1_000_000
     # (3, 3) covers exactly 14 normalized instances.
-    enumerate_classes(3, 3, cap=14)
+    monkeypatch.setattr(search, "INSTANCE_CAP", 14)
+    enumerate_classes(3, 3)
+    monkeypatch.setattr(search, "INSTANCE_CAP", 13)
     with pytest.raises(BudgetExceeded):
-        enumerate_classes(3, 3, cap=13)
+        enumerate_classes(3, 3)
 
 
 def test_enumeration_is_deterministic():

@@ -12,7 +12,6 @@ from plethykit.staircase import (
     corollary_II_family,
     main_family,
     main_gl_condition,
-    main_gl_negative,
     main_square,
     minimal_lift,
     pairwise_sl_isomorphic,
@@ -33,10 +32,7 @@ def descriptors(draw, max_steps=4, positive=False):
     return StaircaseDescriptor(tuple(steps), slack)
 
 
-def test_descriptor_validation_and_json():
-    s = StaircaseDescriptor(((2, 1), (3, 2)), 1)
-    assert s.to_json() == {"steps": [[2, 1], [3, 2]], "slack": 1}
-    assert StaircaseDescriptor.from_json(s.to_json()) == s
+def test_descriptor_validation():
     with pytest.raises(ValueError):
         StaircaseDescriptor(((-1, 2),), 0)
     with pytest.raises(ValueError):
@@ -191,22 +187,20 @@ def test_main_gl_condition_implies_first_row_gl():
 
 
 def test_main_gl_negative_known_values():
-    assert main_gl_negative(2, 3, main_family((), (), 2, 3, 1))
-    with pytest.raises(ValueError):
-        main_gl_negative(2, 2, main_family((), (), 2, 2, 1))
+    # u != v: both column pairs and the second-row pair fail GL.
+    a, b, c, d = main_family((), (), 2, 3, 1)
+    for first, second in ((a, c), (b, d), (c, d)):
+        assert not gl_isomorphic(minimal_lift(first), minimal_lift(second))
 
 
 def test_main_gl_negative_degenerate_square():
     # With no x/y entries B has a single step and a palindromic
-    # heights-plus-slack vector, so B reverses to itself, the (B, D) pair
-    # is trivially GL-isomorphic and the check fails.
-    family = main_family((), (), 2, 1, 2)
-    b, d = family[1], family[3]
+    # heights-plus-slack vector, so B reverses to itself and the (B, D)
+    # pair is trivially GL-isomorphic.
+    a, b, c, d = main_family((), (), 2, 1, 2)
     assert b == d
-    assert not main_gl_negative(2, 1, family)
-    # The other column pair (A, C) and the second-row pair (C, D) do fail
-    # on their own.
-    a, c = family[0], family[2]
+    assert gl_isomorphic(minimal_lift(b), minimal_lift(d))
+    # The other column pair (A, C) and the second-row pair (C, D) do fail.
     assert not gl_isomorphic(minimal_lift(a), minimal_lift(c))
     assert not gl_isomorphic(minimal_lift(c), minimal_lift(d))
 
