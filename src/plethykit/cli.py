@@ -137,7 +137,9 @@ def twist(instance_a, instance_b, bound):
 @main.command()
 @click.option("--max-weight", required=True, type=NONNEGATIVE)
 @click.option("--max-d", required=True, type=NONNEGATIVE)
-@click.option("--bound", type=NONNEGATIVE, default=50, show_default=True, help="twist search bound.")
+@click.option(
+    "--bound", type=NONNEGATIVE, default=50, help="ignored; kept so existing command lines still run."
+)
 def search(max_weight, max_d, bound):
     """Enumerate SL-equivalence classes, one JSON line per class."""
     try:
@@ -145,7 +147,7 @@ def search(max_weight, max_d, bound):
     except PlethykitError as exc:
         raise click.UsageError(str(exc)) from exc
     for cls in classes:
-        gl = classify_gl(cls, bound)
+        gl = classify_gl(cls)
         _emit(
             {
                 "P": cls.key.to_json(),

@@ -94,7 +94,3 @@ def p_poly(p: Partition, d: int) -> QPolynomial:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     return QPolynomial(_analog_ratio(_content_multiset(p, d), _hook_multiset(p)))
 
-
-def dimension(p: Partition, d: int) -> int:
-    """dim S_p(C^{d+1}), i.e. P^d_p evaluated at q = 1."""
-    return p_poly(p, d).eval_at_one()

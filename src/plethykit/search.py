@@ -3,19 +3,20 @@
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
 <= max_d are grouped by their exact P polynomial, which is a complete
 SL-isomorphism invariant.  Classes with at least two members are
-reported, and each member pair is classified by how (or whether) the
-SL-isomorphism upgrades to a GL one.
+reported, and each member pair is labelled, in O(1) from its weights
+and degrees, by how (or whether) the SL-isomorphism upgrades to a GL
+one.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded, ConsistencyError
+from .errors import BudgetExceeded
 from .hookcontent import p_poly
 from .partition import partitions_of, weight
 from .plethysm import SLInstance
 from .qpoly import QPolynomial
-from .twist import nu2_obstruction, solve_twist
+from .twist import nu2_obstruction
 
 INSTANCE_CAP = 1_000_000
 
@@ -57,16 +58,15 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     return classes
 
 
-def classify_gl(c: EquivalenceClass, bound: int = 50) -> dict[str, list[tuple[int, int]]]:
+def classify_gl(c: EquivalenceClass) -> dict[str, list[tuple[int, int]]]:
     """Label every member pair (i, j) of the class.
 
     direct:     equal |lam|*d, so the minimal lifts are already GL.
-    twistable:  solve_twist finds a verified upgrade within ``bound``.
-    obstructed: the nu2 valuation predicate rules a twist out.
-    unresolved: nothing found and nothing ruling it out.
+    obstructed: ``nu2_obstruction`` holds, so no twist exists.
+    twistable:  otherwise; a twist exists (proved in ``twist``).
 
-    A pair that is both obstructed and twistable would contradict the
-    valuation predicate and raises ConsistencyError.
+    The "unresolved" key stays, always empty, so the JSON shape of
+    ``search`` output does not change.
     """
     out: dict[str, list[tuple[int, int]]] = {
         "direct": [],
@@ -78,17 +78,8 @@ def classify_gl(c: EquivalenceClass, bound: int = 50) -> dict[str, list[tuple[in
         a, b = c.members[i], c.members[j]
         if weight(a.lam) * a.d == weight(b.lam) * b.d:
             out["direct"].append((i, j))
-            continue
-        solution = solve_twist(a, b, bound)
-        obstructed = nu2_obstruction(a, b)
-        if solution is not None:
-            if obstructed:
-                raise ConsistencyError(
-                    f"twist {solution} found for the nu2-obstructed pair {a}, {b}"
-                )
-            out["twistable"].append((i, j))
-        elif obstructed:
+        elif nu2_obstruction(a, b):
             out["obstructed"].append((i, j))
         else:
-            out["unresolved"].append((i, j))
+            out["twistable"].append((i, j))
     return out

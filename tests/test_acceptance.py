@@ -307,10 +307,10 @@ def test_weight_degree_parity():
 
 def test_twist_solver_resolves_the_bounded_search():
     """The witness pair ((2), d=2) / ((1,1), d=3) twists to a verified
-    GL-isomorphism with weight product 30 on both sides, and every class
-    pair of the bounded search is either directly GL, twistable, or
-    nu2-obstructed (never unresolved) at bound 50; obstructed labels are
-    spot-checked against the solver finding nothing."""
+    GL-isomorphism with weight product 30 on both sides, and every label
+    ``classify_gl`` gives in the bounded search agrees with the solver:
+    each twistable pair gets a twist within bound 50 that verifies, and
+    each obstructed pair gets none."""
     start = time.monotonic()
     a = SLInstance((2,), 2)
     b = SLInstance((1, 1), 3)
@@ -321,8 +321,11 @@ def test_twist_solver_resolves_the_bounded_search():
     assert verify_twist(a, b, sol)
 
     for c in _classes_6_5():
-        labels = classify_gl(c, bound=50)
+        labels = classify_gl(c)
         assert labels["unresolved"] == [], (c.key, labels)
+        for i, j in labels["twistable"]:
+            found = solve_twist(c.members[i], c.members[j], 50)
+            assert found is not None and verify_twist(c.members[i], c.members[j], found)
         for i, j in labels["obstructed"]:
             assert solve_twist(c.members[i], c.members[j], 50) is None
     assert time.monotonic() - start < 300

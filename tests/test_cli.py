@@ -210,6 +210,16 @@ def test_search_small():
     assert "4 classes" in result.stderr
 
 
+def test_search_ignores_bound():
+    # Labels come from the nu2 predicate, not a twist scan, so even a
+    # zero bound leaves the output unchanged.
+    args = ("search", "--max-weight", "6", "--max-d", "5")
+    plain, bounded = run(*args), run(*args, "--bound", "0")
+    assert plain.exit_code == bounded.exit_code == 0
+    assert bounded.stdout == plain.stdout
+    assert all(p["gl"]["unresolved"] == [] for p in lines(plain))
+
+
 def test_oracle_check():
     result = run("oracle-check", "--max-weight", "4", "--max-d", "3")
     assert result.exit_code == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import LengthExceedsDimension
-from plethykit.hookcontent import dimension, p_poly
+from plethykit.hookcontent import p_poly
 from plethykit.partition import (
     b_statistic,
     cells,
@@ -75,12 +75,13 @@ def test_p_poly_known_values():
 
 
 def test_dimension_known_values():
-    assert dimension((2,), 3) == 10
-    assert dimension((1, 1), 3) == 6
-    assert dimension((), 7) == 1
-    assert dimension((1, 1, 1), 2) == 1
+    # P at q = 1 is dim S_p(C^{d+1}).
+    assert p_poly((2,), 3).eval_at_one() == 10
+    assert p_poly((1, 1), 3).eval_at_one() == 6
+    assert p_poly((), 7).eval_at_one() == 1
+    assert p_poly((1, 1, 1), 2).eval_at_one() == 1
     for d in range(6):
-        assert dimension((1,), d) == d + 1
+        assert p_poly((1,), d).eval_at_one() == d + 1
 
 
 def test_single_rows_are_gaussian_binomials():
@@ -113,7 +114,6 @@ def test_p_poly_shape_invariants(p, d):
     assert f.is_palindromic()
     assert f.degree == weight(p) * d - 2 * b_statistic(p)
     assert all(c > 0 for c in f.coefficients)
-    assert f.eval_at_one() == dimension(p, d)
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))
@@ -133,7 +133,7 @@ def test_dimension_matches_weyl_formula():
                 for j in range(1, row + 1):
                     num *= d + 1 + (j - i)
                     den *= hook_length(p, (i, j))
-            assert dimension(p, d) == num // den
+            assert p_poly(p, d).eval_at_one() == num // den
             assert num % den == 0
 
 

@@ -9,6 +9,7 @@ from plethykit.plethysm import SLInstance, dual, normalize
 from plethykit.qpoly import QPolynomial
 from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
+from plethykit.twist import solve_twist
 
 
 def test_enumerate_classes_small_frozen():
@@ -128,11 +129,10 @@ def test_classify_gl_direct_means_equal_weight_times_d():
             assert weight(a.lam) * a.d == weight(b.lam) * b.d
 
 
-def test_classify_gl_respects_the_search_bound():
-    # The witness pair needs l and m up to 2; a zero bound cannot find it.
-    c = EquivalenceClass(
-        key=QPolynomial([1, 1, 2, 1, 1]),
-        members=(SLInstance((2,), 2), SLInstance((1, 1), 3)),
-    )
-    assert classify_gl(c, bound=50)["twistable"] == [(0, 1)]
-    assert classify_gl(c, bound=0)["unresolved"] == [(0, 1)]
+def test_classify_gl_labels_without_a_search_bound():
+    # The witness pair needs l and m up to 2, so a zero-bound scan finds
+    # nothing, yet the pair is labelled twistable from its weights alone.
+    a, b = SLInstance((2,), 2), SLInstance((1, 1), 3)
+    c = EquivalenceClass(key=QPolynomial([1, 1, 2, 1, 1]), members=(a, b))
+    assert solve_twist(a, b, 0) is None
+    assert classify_gl(c)["twistable"] == [(0, 1)]

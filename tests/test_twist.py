@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -165,3 +167,71 @@ def test_nu2_obstruction_known_values():
     assert not nu2_obstruction(SLInstance((1,), 3), SLInstance((2,), 3))
     with pytest.raises(ZeroWeight):
         nu2_obstruction(SLInstance((), 2), SLInstance((1,), 1))
+
+
+def _twist_exists(wl, d, wm, e, bound):
+    """Whether some l, m <= bound lets the solver's own equation step,
+    ``_min_y_solution``, find a nonnegative (x, y): the scan of
+    ``solve_twist`` without its SL check, for bare weights and degrees."""
+    half_gap = (wl * d - wm * e) // 2
+    for l in range(bound + 1):
+        big_b = wl + l * (d + 1)
+        for m in range(bound + 1):
+            big_a = wm + m * (e + 1)
+            c = half_gap + l * comb(d + 1, 2) - m * comb(e + 1, 2)
+            if _min_y_solution(big_a, big_b, c) is not None:
+                return True
+    return False
+
+
+def test_nu2_obstruction_is_exact_on_a_grid():
+    """On every parity-consistent (|lam|, d, |mu|, e) with weights <= 20
+    and d, e <= 20, the predicate holds iff no (l, m) below
+    max(|lam|, |mu|) admits a twist, the witness range the module
+    docstring proves."""
+    single = [(w, d) for w in range(1, 21) for d in range(21)]
+    checked = obstructed = 0
+    for wl, d in single:
+        a = SLInstance((wl,), d)
+        for wm, e in single:
+            if (wl * d - wm * e) % 2:
+                continue
+            predicate = nu2_obstruction(a, SLInstance((wm,), e))
+            assert predicate != _twist_exists(wl, d, wm, e, max(wl, wm) - 1), (wl, d, wm, e)
+            checked += 1
+            obstructed += predicate
+    assert checked == 112_400
+    assert obstructed > 0
+
+
+@st.composite
+def obstructed_tuples(draw):
+    """(|lam|, d, |mu|, e) with d, e = 3 mod 4 and 2-adic valuations of
+    the weights that differ, the smaller one below min(nu2(d+1), nu2(e+1))."""
+    d = 4 * draw(st.integers(0, 60)) + 3
+    e = 4 * draw(st.integers(0, 60)) + 3
+    alpha = draw(st.integers(1, min(nu2(d + 1), nu2(e + 1)) - 1))
+    beta = draw(st.integers(1, 8).filter(lambda v: v != alpha))
+    wl = 2**alpha * (2 * draw(st.integers(0, 20)) + 1)
+    wm = 2**beta * (2 * draw(st.integers(0, 20)) + 1)
+    if draw(st.booleans()):
+        return wm, e, wl, d
+    return wl, d, wm, e
+
+
+@given(obstructed_tuples())
+@settings(max_examples=40, deadline=None)
+def test_obstructed_tuples_have_no_twist(t):
+    wl, d, wm, e = t
+    assert nu2_obstruction(SLInstance((wl,), d), SLInstance((wm,), e))
+    assert not _twist_exists(wl, d, wm, e, 40)
+
+
+@given(
+    st.integers(1, 200), st.integers(0, 200), st.integers(1, 200), st.integers(0, 200)
+)
+@settings(max_examples=200, deadline=None)
+def test_unobstructed_tuples_twist_within_the_proved_range(wl, d, wm, e):
+    assume((wl * d - wm * e) % 2 == 0)
+    assume(not nu2_obstruction(SLInstance((wl,), d), SLInstance((wm,), e)))
+    assert _twist_exists(wl, d, wm, e, max(wl, wm) - 1)
