@@ -171,13 +171,20 @@ def oracle_check(max_weight, max_d, inject_fault):
         for lam in partitions_of(n, n):
             for d in range(len(lam) - 1, max_d + 1):
                 expected = p_poly(lam, d).shifted(b_statistic(lam))
-                if inject_fault:
-                    expected = expected + QPolynomial([0, 1])
-                bialternant = specialize_bialternant(lam, d)
-                tableau = specialize_ssyt(lam, d)
-                if not (bialternant == tableau == expected):
-                    _emit({"agree": False, "lambda": list(lam), "d": d})
-                    click.echo(f"disagreement at lambda={list(lam)} d={d}", err=True)
+                routes = {
+                    "bialternant": specialize_bialternant(lam, d),
+                    "tableau": specialize_ssyt(lam, d),
+                    "hook_content": expected + QPolynomial([0, 1]) if inject_fault else expected,
+                }
+                values = list(routes.values())
+                odd = [name for name, f in routes.items() if values.count(f) == 1]
+                if odd:
+                    routes = {name: f.to_json() for name, f in routes.items()}
+                    _emit({"agree": False, "lambda": list(lam), "d": d, "routes": routes})
+                    verb = "differs" if len(odd) == 1 else "differ"
+                    click.echo(
+                        f"disagreement at lambda={list(lam)} d={d}: {', '.join(odd)} {verb}", err=True
+                    )
                     sys.exit(1)
                 checked += 1
     _emit({"agree": True, "instances": checked})

@@ -47,7 +47,7 @@ class EmptyDiagram(PlethykitError):
 
 
 class BudgetExceeded(PlethykitError):
-    """An enumeration passed its fixed limit (instances or fillings)."""
+    """An enumeration passed its fixed limit of instances."""
 
 
 class ConsistencyError(PlethykitError):

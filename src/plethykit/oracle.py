@@ -9,20 +9,24 @@ code with it:
   packed as a large power of two, so ordinary fraction-free elimination
   applies and the Schur coefficients can be read back off the quotient's
   base-2^B digits.
-* ``specialize_ssyt`` enumerates semistandard fillings one by one and
-  accumulates q^(sum of entries - cells).
+* ``specialize_ssyt`` sums q^(sum of entries - cells) over semistandard
+  tableaux with entries in {1..n}, n = d+1, by the branching rule
+  (Macdonald, *Symmetric Functions*, I §5): removing the entries n
+  from a tableau of shape lambda leaves one of shape mu, where mu
+  interlaces lambda (lambda_{i+1} <= mu_i <= lambda_i), so with
+  x_i = q^{i-1}
+
+      s_lambda(x_1..x_n) = sum_mu s_mu(x_1..x_{n-1}) q^{(n-1)(|lambda|-|mu|)}.
+
+  Each shape is expanded once per call, which counts the tableaux
+  without visiting them one at a time.
 """
 
-from .errors import (
-    BudgetExceeded,
-    ConsistencyError,
-    InexactDivision,
-    LengthExceedsDimension,
-)
+from itertools import product
+
+from .errors import ConsistencyError, InexactDivision, LengthExceedsDimension
 from .partition import Partition, weight
 from .qpoly import QPolynomial
-
-FILLING_BUDGET = 10_000_000
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -84,48 +88,32 @@ def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def _enumerate_fillings(p: Partition, k: int):
-    """Yield the entry-sum-minus-cells exponent of every semistandard
-    filling of p with entries in {1..k}: rows weakly increase left to
-    right, columns strictly increase top to bottom."""
-    cells = [(i, j) for i, row_len in enumerate(p) for j in range(row_len)]
-    rows = [[0] * row_len for row_len in p]
-    total = len(cells)
-    budget = FILLING_BUDGET
-    seen = 0
-
-    def fill(t: int, exponent: int):
-        nonlocal seen
-        if t == total:
-            seen += 1
-            if seen > budget:
-                raise BudgetExceeded(
-                    f"more than {budget} fillings of {p} with entries <= {k}"
-                )
-            yield exponent
-            return
-        i, j = cells[t]
-        low = rows[i][j - 1] if j else 1
-        if i and rows[i - 1][j] >= low:
-            low = rows[i - 1][j] + 1
-        for val in range(low, k + 1):
-            rows[i][j] = val
-            yield from fill(t + 1, exponent + val - 1)
-        rows[i][j] = 0
-
-    yield from fill(0, 0)
+def _schur(lam: tuple[int, ...], memo: dict) -> list[int]:
+    """Coefficients of s_lam(1, q, ..., q^(n-1)), n = len(lam), with lam
+    zero-padded to n parts; memo maps each such lam to its list."""
+    n = len(lam)
+    if n == 1 or lam[0] == 0:
+        return [1]
+    if lam in memo:
+        return memo[lam]
+    total = sum(lam)
+    coeffs = []
+    for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(n - 1))):
+        shift = (n - 1) * (total - sum(mu))
+        sub = _schur(mu, memo)
+        if len(coeffs) < shift + len(sub):
+            coeffs.extend([0] * (shift + len(sub) - len(coeffs)))
+        for e, c in enumerate(sub, shift):
+            coeffs[e] += c
+    memo[lam] = coeffs
+    return coeffs
 
 
 def specialize_ssyt(p: Partition, d: int) -> QPolynomial:
-    """s_p(1, q, ..., q^d) by direct semistandard-tableau enumeration.
+    """s_p(1, q, ..., q^d) by the branching rule over semistandard tableaux.
 
-    Raises LengthExceedsDimension unless length(p) <= d+1, and
-    BudgetExceeded when more than FILLING_BUDGET fillings exist.
+    Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    coeffs = [0] * (weight(p) * d + 1)
-    for exponent in _enumerate_fillings(p, d + 1):
-        coeffs[exponent] += 1
-    return QPolynomial(coeffs)
-
+    return QPolynomial(_schur(tuple(p) + (0,) * (d + 1 - len(p)), {}))

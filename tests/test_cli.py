@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from plethykit import cli
 from plethykit.cli import main
+from plethykit.qpoly import ONE
 
 
 def run(*args):
@@ -231,4 +233,25 @@ def test_oracle_check_detects_injected_fault():
         "oracle-check", "--max-weight", "2", "--max-d", "2", "--inject-fault"
     )
     assert result.exit_code == 1
-    assert lines(result) == [{"agree": False, "lambda": [1], "d": 0}]
+    assert lines(result) == [
+        {
+            "agree": False,
+            "lambda": [1],
+            "d": 0,
+            "routes": {"bialternant": ["1"], "tableau": ["1"], "hook_content": ["1", "1"]},
+        }
+    ]
+    assert result.stderr == "disagreement at lambda=[1] d=0: hook_content differs\n"
+
+
+def test_oracle_check_names_a_faulty_tableau_route(monkeypatch):
+    # A tableau route stuck at 1 first differs at s_(1)(1, q) = 1 + q.
+    monkeypatch.setattr(cli, "specialize_ssyt", lambda p, d: ONE)
+    result = run("oracle-check", "--max-weight", "2", "--max-d", "2")
+    assert result.exit_code == 1
+    assert lines(result)[0]["routes"] == {
+        "bialternant": ["1", "1"],
+        "tableau": ["1"],
+        "hook_content": ["1", "1"],
+    }
+    assert result.stderr == "disagreement at lambda=[1] d=1: tableau differs\n"

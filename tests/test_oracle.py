@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethykit import oracle
-from plethykit.errors import BudgetExceeded, LengthExceedsDimension
+from plethykit.errors import LengthExceedsDimension
 from plethykit.hookcontent import p_poly
 from plethykit.oracle import specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, complement, partitions_of, weight
@@ -38,22 +37,42 @@ def test_ssyt_known_values():
         specialize_ssyt((1, 1), 0)
 
 
-def test_budget_is_enforced(monkeypatch):
-    assert oracle.FILLING_BUDGET == 10_000_000
-    # (2,) has exactly 10 fillings with entries <= 4.
-    monkeypatch.setattr(oracle, "FILLING_BUDGET", 9)
-    with pytest.raises(BudgetExceeded):
-        specialize_ssyt((2,), 3)
-    # exactly at the count is fine
-    monkeypatch.setattr(oracle, "FILLING_BUDGET", 10)
-    assert specialize_ssyt((2,), 3).eval_at_one() == 10
+def _fillings_reference(p, d):
+    """s_p(1, q, ..., q^d) by visiting every semistandard filling of p with
+    entries in {1..d+1}: rows weakly increase, columns strictly increase."""
+    cells = [(i, j) for i, row_len in enumerate(p) for j in range(row_len)]
+    rows = [[0] * row_len for row_len in p]
+    coeffs = [0] * (weight(p) * d + 1)
+
+    def fill(t, exponent):
+        if t == len(cells):
+            coeffs[exponent] += 1
+            return
+        i, j = cells[t]
+        low = max(rows[i][j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
+        for val in range(low, d + 2):
+            rows[i][j] = val
+            fill(t + 1, exponent + val - 1)
+
+    fill(0, 0)
+    return QPolynomial(coeffs)
 
 
 def test_routes_agree_exhaustively_small():
     for d in range(5):
         for n in range(7):
             for p in partitions_of(n, d + 1):
-                assert specialize_bialternant(p, d) == specialize_ssyt(p, d)
+                reference = _fillings_reference(p, d)
+                assert specialize_bialternant(p, d) == reference, (p, d)
+                assert specialize_ssyt(p, d) == reference, (p, d)
+
+
+def test_ssyt_past_the_old_budget():
+    # (6, 6) has 32,821,152 fillings with entries <= 13: too many to visit
+    # one at a time, so the route must count them without enumerating.
+    f = specialize_ssyt((6, 6), 12)
+    assert f == p_poly((6, 6), 12).shifted(b_statistic((6, 6)))
+    assert f.eval_at_one() == 32_821_152
 
 
 @settings(deadline=None)
