@@ -169,12 +169,17 @@ def oracle_check(max_weight, max_d, inject_fault):
     checked = 0
     for n in range(1, max_weight + 1):
         for lam in partitions_of(n, n):
+            memo = {}  # the shapes of (lam, d) recur in (lam, d + 1), never in another lam
             for d in range(len(lam) - 1, max_d + 1):
                 expected = p_poly(lam, d).shifted(b_statistic(lam))
+                if inject_fault:
+                    coeffs = [*expected.coefficients, 0]
+                    coeffs[1] += 1
+                    expected = QPolynomial(coeffs)
                 routes = {
                     "bialternant": specialize_bialternant(lam, d),
-                    "tableau": specialize_ssyt(lam, d),
-                    "hook_content": expected + QPolynomial([0, 1]) if inject_fault else expected,
+                    "tableau": specialize_ssyt(lam, d, memo),
+                    "hook_content": expected,
                 }
                 values = list(routes.values())
                 odd = [name for name, f in routes.items() if values.count(f) == 1]

@@ -6,9 +6,17 @@ code with it:
 * ``specialize_bialternant`` evaluates the ratio of alternant
   determinants det(x_j^{lambda_i + k - i}) / det(x_j^{k - i}) at
   x_j = q^{j-1}.  The determinants are taken over plain integers with q
-  packed as a large power of two, so ordinary fraction-free elimination
-  applies and the Schur coefficients can be read back off the quotient's
-  base-2^B digits.
+  packed as a large power of two, and the Schur coefficients are read
+  back off the exact integer quotient's base-2^B digits.  With q packed,
+  both matrices have entries y_i^j, y_i = 2^(B e_i), so each is a
+  Vandermonde matrix and its determinant is the product
+  prod_{i<i'} (y_{i'} - y_i) (Macdonald, *Symmetric Functions*, I §3).
+  The route stays independent of the hook-content route: it uses only
+  the bialternant formula and the Vandermonde identity, a product over
+  pairs of rows evaluated as one exact integer, and never the
+  hook-content theorem's product over cells.  A remainder in the
+  quotient raises InexactDivision and a non-positive quotient raises
+  ConsistencyError.
 * ``specialize_ssyt`` sums q^(sum of entries - cells) over semistandard
   tableaux with entries in {1..n}, n = d+1, by the branching rule
   (Macdonald, *Symmetric Functions*, I §5): removing the entries n
@@ -18,8 +26,11 @@ code with it:
 
       s_lambda(x_1..x_n) = sum_mu s_mu(x_1..x_{n-1}) q^{(n-1)(|lambda|-|mu|)}.
 
-  Each shape is expanded once per call, which counts the tableaux
-  without visiting them one at a time.
+  Each shape is expanded once per memo, which counts the tableaux
+  without visiting them one at a time.  The shapes reached from
+  (lambda, d+1) include every shape reached from (lambda, d), so a
+  caller that walks d for one lambda can pass the same memo to each
+  call.
 """
 
 from itertools import product
@@ -29,38 +40,21 @@ from .partition import Partition, weight
 from .qpoly import QPolynomial
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destroys m)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    m[c], m[r] = m[r], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[c][c]
-        crow = m[c]
-        for r in range(c + 1, n):
-            row = m[r]
-            head = row[c]
-            for cc in range(c + 1, n):
-                row[cc] = (row[cc] * pivot - head * crow[cc]) // prev
-            row[c] = 0
-        prev = pivot
-    return sign * m[-1][-1]
+def _vandermonde(nodes: list[int]) -> int:
+    """det(nodes[i]^j) over plain integers, as prod_{i<i'} (nodes[i'] - nodes[i])."""
+    det = 1
+    for i, y in enumerate(nodes):
+        for z in nodes[i + 1 :]:
+            det *= z - y
+    return det
 
 
 def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
     """s_p(1, q, ..., q^d) via the alternant determinant ratio.
 
-    Every coefficient counts a subset of fillings of the diagram with
+    Both alternants are Vandermonde determinants in the packed powers of
+    q, so each is taken as the product of its node differences.  Every
+    coefficient counts a subset of fillings of the diagram with
     entries in {1..d+1}, so it is bounded by (d+1)^|p|; packing q as
     2^B with 2^B above that bound makes the base-2^B digits of the
     integer quotient exactly the polynomial's coefficients.
@@ -72,10 +66,8 @@ def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
         raise LengthExceedsDimension(f"{p} has more than {k} rows")
     lam = list(p) + [0] * (k - len(p))
     bits = max(64, weight(p) * k.bit_length() + 2)
-    num_exps = [lam[i] + k - 1 - i for i in range(k)]
-    den_exps = [k - 1 - i for i in range(k)]
-    num = _bareiss_det([[1 << (bits * j * e) for j in range(k)] for e in num_exps])
-    den = _bareiss_det([[1 << (bits * j * e) for j in range(k)] for e in den_exps])
+    num = _vandermonde([1 << (bits * (lam[i] + k - 1 - i)) for i in range(k)])
+    den = _vandermonde([1 << (bits * (k - 1 - i)) for i in range(k)])
     quotient, rem = divmod(num, den)
     if rem:
         raise InexactDivision("alternant ratio left a remainder")
@@ -109,11 +101,16 @@ def _schur(lam: tuple[int, ...], memo: dict) -> list[int]:
     return coeffs
 
 
-def specialize_ssyt(p: Partition, d: int) -> QPolynomial:
+def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> QPolynomial:
     """s_p(1, q, ..., q^d) by the branching rule over semistandard tableaux.
+
+    memo maps zero-padded shapes to their coefficient lists.  Pass one
+    dict to every call for the same p (any d) to expand each shape once;
+    by default each call starts a fresh one.
 
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    return QPolynomial(_schur(tuple(p) + (0,) * (d + 1 - len(p)), {}))
+    padded = tuple(p) + (0,) * (d + 1 - len(p))
+    return QPolynomial(_schur(padded, {} if memo is None else memo))

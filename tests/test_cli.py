@@ -246,7 +246,7 @@ def test_oracle_check_detects_injected_fault():
 
 def test_oracle_check_names_a_faulty_tableau_route(monkeypatch):
     # A tableau route stuck at 1 first differs at s_(1)(1, q) = 1 + q.
-    monkeypatch.setattr(cli, "specialize_ssyt", lambda p, d: ONE)
+    monkeypatch.setattr(cli, "specialize_ssyt", lambda p, d, memo=None: ONE)
     result = run("oracle-check", "--max-weight", "2", "--max-d", "2")
     assert result.exit_code == 1
     assert lines(result)[0]["routes"] == {

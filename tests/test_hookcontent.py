@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethykit.errors import LengthExceedsDimension
-from plethykit.hookcontent import p_poly
+from plethykit.errors import InexactDivision, LengthExceedsDimension
+from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly
 from plethykit.partition import (
     b_statistic,
     cells,
@@ -51,6 +51,24 @@ def test_hook_poly_is_the_analog_product_of_hooks(p):
     for d in (max(len(p) - 1, 0), len(p) + 2):
         contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
         assert contents.exact_div(p_poly(p, d)) == hooks
+
+
+def test_over_one_minus_divides_exactly_or_raises():
+    # Short branch, len(f) <= b: only the zero polynomial divides.
+    assert _over_one_minus([0, 0], 2) == [0]
+    with pytest.raises(InexactDivision):
+        _over_one_minus([1], 2)
+    with pytest.raises(InexactDivision):
+        _over_one_minus([0, 3], 2)
+    # Recurrence branch: an exact quotient comes back, a remainder
+    # leaves a nonzero tail.
+    f = [1, 2, 3]
+    assert _over_one_minus(_times_one_minus(f, 2), 2) == f
+    assert _over_one_minus([1, 0, -1], 2) == [1]
+    with pytest.raises(InexactDivision):
+        _over_one_minus([1, 0, 0], 2)  # 1 + q^2 leaves remainder 2 mod 1 - q^2
+    with pytest.raises(InexactDivision):
+        _over_one_minus([1, 1], 1)  # 1 + q leaves remainder 2 mod 1 - q
 
 
 def test_content_poly_known_values():

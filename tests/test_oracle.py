@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -6,11 +7,66 @@ from hypothesis import strategies as st
 
 from plethykit.errors import LengthExceedsDimension
 from plethykit.hookcontent import p_poly
-from plethykit.oracle import specialize_bialternant, specialize_ssyt
+from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, complement, partitions_of, weight
 from plethykit.qpoly import ONE, QPolynomial, q_analog
 
 from .test_partition import partitions
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (destroys m): the
+    elimination reference for the Vandermonde product."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            for r in range(c + 1, n):
+                if m[r][c]:
+                    m[c], m[r] = m[r], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[c][c]
+        crow = m[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            head = row[c]
+            for cc in range(c + 1, n):
+                row[cc] = (row[cc] * pivot - head * crow[cc]) // prev
+            row[c] = 0
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _vandermonde_matrix(nodes):
+    return [[y**j for j in range(len(nodes))] for y in nodes]
+
+
+def test_vandermonde_matches_elimination_exhaustively_small():
+    # Every exponent set of up to five rows below 8, with nodes packed as
+    # in specialize_bialternant, in its descending order and ascending.
+    for bits in (1, 64):
+        for k in range(6):
+            for exps in combinations(range(8), k):
+                for order in (exps, exps[::-1]):
+                    nodes = [1 << (bits * e) for e in order]
+                    reference = _bareiss_det(_vandermonde_matrix(nodes))
+                    assert _vandermonde(nodes) == reference, (bits, order)
+    # The reference itself, where elimination must swap rows or stop.
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 0
+
+
+@given(st.lists(st.integers(-50, 50), max_size=6, unique=True))
+def test_vandermonde_matches_elimination_on_distinct_nodes(nodes):
+    det = _vandermonde(nodes)
+    assert det == _bareiss_det(_vandermonde_matrix(nodes))
+    assert det != 0
 
 
 def test_bialternant_known_values():
@@ -65,6 +121,19 @@ def test_routes_agree_exhaustively_small():
                 reference = _fillings_reference(p, d)
                 assert specialize_bialternant(p, d) == reference, (p, d)
                 assert specialize_ssyt(p, d) == reference, (p, d)
+
+
+def test_shared_memo_matches_a_fresh_memo_for_every_d():
+    # One memo passed along the d loop of a shape, as oracle-check does.
+    lam, top = (3, 2, 2, 1), 9
+    shared = {}
+    for d in range(len(lam) - 1, top + 1):
+        assert specialize_ssyt(lam, d, shared) == specialize_ssyt(lam, d), d
+    # The padded shapes of (lam, d) all recur under (lam, d + 1), so the
+    # shared memo holds exactly what one call at the largest d builds.
+    fresh = {}
+    specialize_ssyt(lam, top, fresh)
+    assert shared == fresh
 
 
 def test_ssyt_past_the_old_budget():
