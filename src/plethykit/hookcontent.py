@@ -4,13 +4,17 @@ P^d_lambda(q) is the exact quotient of the content product
 C^d_lambda = prod [d+1+c(u)] by the hook product H_lambda = prod [h(u)].
 It is palindromic, has constant term 1, degree |lambda|*d - 2*b(lambda),
 and its value at q=1 is the dimension of the Schur module
-S_lambda(C^{d+1}).  Equality of P polynomials is the complete
-SL(2)-isomorphism invariant used by the plethysm module.
+S_lambda(C^{d+1}).
 
-Products and quotients of q-analogs are computed through their
-(1 - q^a) factorizations: multiplying by (1 - q^a) and dividing by
-(1 - q^b) are both single passes over the coefficient array, which keeps
-the large staircase instances cheap.
+Equal P polynomials are the complete SL(2)-isomorphism invariant, and
+``sl_key`` decides it without expanding P: the key is the net exponent
+of each q-integer [n] in C/H.  Instances are compared and grouped by
+their keys; ``p_poly`` is the key's printed form, expanded only where a
+polynomial is shown or compared as one.
+
+The expansion goes through the (1 - q^n) factorization: multiplying by
+(1 - q^a) and dividing by (1 - q^b) are both single passes over the
+coefficient array, which keeps the large staircase instances cheap.
 """
 
 from collections import Counter
@@ -65,32 +69,43 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     return out[: len(f) - b]
 
 
-def _analog_ratio(numerators: list[int], denominators: list[int]) -> list[int]:
-    """Coefficients of prod [a] / prod [b], assuming the ratio is polynomial.
+def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
+    """The SL invariant of (p, d): the pairs (n, c_n) with c_n != 0, where
+    c_n is the number of cells with d+1+c(u) = n minus the number with
+    h(u) = n, so that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).
 
-    Both lists have one entry per cell, so after cancelling equal factors
-    the rest pairs up through [a]/[b] = (1 - q^a)/(1 - q^b).  All
-    multiplications happen before any division, so every intermediate
-    division step stays exact.
-    """
-    num = Counter(numerators)
-    den = Counter(denominators)
-    shared = num & den
-    f = [1]
-    for a in sorted((num - shared).elements()):
-        f = _times_one_minus(f, a)
-    for b in sorted((den - shared).elements()):
-        f = _over_one_minus(f, b)
-    return f
-
-
-@lru_cache(maxsize=8192)
-def p_poly(p: Partition, d: int) -> QPolynomial:
-    """P^d_p = C^d_p / H_p as an exact integer polynomial.
+    Two instances have equal keys exactly when they have equal P.  Each
+    [n] = prod_{k | n, k > 1} Phi_k, and cyclotomic polynomials are
+    distinct irreducibles, so P fixes the exponent e_k = sum_{k | n} c_n
+    of every Phi_k, k >= 2, and Moebius inversion over divisibility
+    recovers every c_n with n >= 2 from the e_k.  Both multisets have
+    |p| entries, so sum c_n = 0 and c_1 = -sum_{n >= 2} c_n is fixed by
+    the rest: keeping n = 1 leaves the key canonical, and it makes the
+    (1 - q^n) factors of the numerator and the denominator equal in
+    number, so (1 - q)^|p| cancels without a correction.
 
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    return QPolynomial(_analog_ratio(_content_multiset(p, d), _hook_multiset(p)))
+    net = Counter(_content_multiset(p, d))
+    net.subtract(_hook_multiset(p))
+    return frozenset((n, c) for n, c in net.items() if c)
 
+
+@lru_cache(maxsize=8192)
+def p_poly(p: Partition, d: int) -> QPolynomial:
+    """P^d_p = C^d_p / H_p as an exact integer polynomial, the expansion
+    of sl_key(p, d).
+
+    All multiplications by (1 - q^n) happen before any division, each
+    group in increasing n, so every intermediate division stays exact.
+
+    Raises LengthExceedsDimension unless length(p) <= d+1.
+    """
+    f = [1]
+    for n, c in sorted(sl_key(p, d), key=lambda nc: (nc[1] < 0, nc[0])):
+        step = _times_one_minus if c > 0 else _over_one_minus
+        for _ in range(abs(c)):
+            f = step(f, n)
+    return QPolynomial(f)

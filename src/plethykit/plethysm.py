@@ -2,15 +2,16 @@
 
 The SL-level data of an instance is the pair (lam, d) with d the
 difference of the two delta rows: two instances are SL-isomorphic
-exactly when their P polynomials coincide, and GL-isomorphic when in
-addition the total weights |delta|*|lam| match.
+exactly when their P polynomials coincide, which ``sl_key`` decides
+without expanding P, and GL-isomorphic when in addition the total
+weights |delta|*|lam| match.
 """
 
 import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, LengthExceedsDimension
-from .hookcontent import p_poly
+from .hookcontent import p_poly, sl_key
 from .partition import (
     Partition,
     b_statistic,
@@ -126,12 +127,13 @@ def character_data(inst: PlethysmInstance) -> CharacterData:
 
 
 def sl_isomorphic(a: SLInstance, b: SLInstance) -> bool:
-    """True iff the two instances have equal P polynomials.
+    """True iff the two instances have equal P polynomials, decided by
+    comparing their ``sl_key`` values.
 
     Whenever they do, |lam_a|*d_a - |lam_b|*d_b must be even; a failure
     of that parity is raised as ConsistencyError rather than returned.
     """
-    if p_poly(a.lam, a.d) != p_poly(b.lam, b.d):
+    if sl_key(a.lam, a.d) != sl_key(b.lam, b.d):
         return False
     if (weight(a.lam) * a.d - weight(b.lam) * b.d) % 2:
         raise ConsistencyError(

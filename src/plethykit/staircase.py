@@ -13,7 +13,7 @@ SL-isomorphic for every choice of nonnegative parameters.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .errors import EmptyDiagram, ShapeMismatch
 from .plethysm import PlethysmInstance, SLInstance, sl_isomorphic
@@ -194,5 +194,10 @@ def corollary_II_family(s: int, u: int, v: int, z: int) -> list[SLInstance]:
 
 
 def pairwise_sl_isomorphic(instances: list[SLInstance]) -> bool:
-    """Whether every two instances of the list are SL-isomorphic."""
-    return all(sl_isomorphic(a, b) for a, b in combinations(instances, 2))
+    """Whether every two instances of the list are SL-isomorphic.
+
+    Each member is checked against the first only: equal keys and the
+    parity of |lam|*d that ``sl_isomorphic`` enforces are both
+    transitive, so that answers for every pair.
+    """
+    return all(sl_isomorphic(instances[0], b) for b in instances[1:])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly
+from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import (
     b_statistic,
     cells,
@@ -13,6 +13,7 @@ from plethykit.partition import (
     conjugate,
     content,
     hook_length,
+    partitions_of,
     weight,
 )
 from plethykit.qpoly import ONE, QPolynomial, q_analog
@@ -117,10 +118,62 @@ def test_p_poly_divides_content_by_hooks_exactly(p, d):
     if len(p) > d + 1:
         with pytest.raises(LengthExceedsDimension):
             p_poly(p, d)
+        with pytest.raises(LengthExceedsDimension):
+            sl_key(p, d)
         return
     contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
     hooks = _analog_product(hook_length(p, u) for u in cells(p))
-    assert p_poly(p, d) == contents.exact_div(hooks)
+    expected = contents.exact_div(hooks)
+    assert p_poly(p, d) == expected
+    # The key is P's factorization into q-integers: prod [n]^{c_n}.
+    key = sl_key(p, d)
+    above = _analog_product(n for n, c in key for _ in range(c))
+    below = _analog_product(n for n, c in key for _ in range(-c))
+    assert above.exact_div(below) == expected
+    assert sum(c for _, c in key) == 0
+
+
+def test_sl_key_known_values():
+    assert sl_key((), 3) == frozenset()
+    # contents of (2,) at d = 3 are {4, 5}, hooks {2, 1}
+    assert sl_key((2,), 3) == {(4, 1), (5, 1), (2, -1), (1, -1)}
+    # (1, 1) at d = 1 is the trivial module: contents {2, 1}, hooks {2, 1}
+    assert sl_key((1, 1), 1) == frozenset()
+    with pytest.raises(LengthExceedsDimension):
+        sl_key((1, 1, 1), 1)
+
+
+def test_sl_key_partitions_like_p_poly_exhaustively():
+    # Every (p, d) with |p| <= 12 and length(p) - 1 <= d <= 10: the
+    # key and the expanded polynomial split them into the same classes.
+    instances = [
+        (p, d)
+        for n in range(13)
+        for p in partitions_of(n, n)
+        for d in range(max(len(p) - 1, 0), 11)
+    ]
+    by_key, by_poly = {}, {}
+    for p, d in instances:
+        by_key.setdefault(sl_key(p, d), set()).add((p, d))
+        by_poly.setdefault(p_poly(p, d), set()).add((p, d))
+    assert len(instances) == 2052
+    assert len(by_key) == len(by_poly) == 1341
+    classes = {frozenset(members) for members in by_key.values()}
+    assert classes == {frozenset(members) for members in by_poly.values()}
+
+
+@st.composite
+def _instances(draw, max_weight=12, max_d=10):
+    p = draw(partitions(max_weight=max_weight, max_parts=max_d + 1))
+    return p, draw(st.integers(max(len(p) - 1, 0), max_d))
+
+
+@given(_instances(), _instances(), st.booleans())
+def test_equal_keys_iff_equal_p_poly(a, b, mirror):
+    # Mirroring b onto the box complement of a makes equal pairs common.
+    if mirror:
+        b = (complement(a[0], a[1] + 1), a[1])
+    assert (sl_key(*a) == sl_key(*b)) == (p_poly(*a) == p_poly(*b))
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))

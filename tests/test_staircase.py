@@ -267,3 +267,10 @@ def test_pairwise_sl_isomorphic_basics():
     assert pairwise_sl_isomorphic([])
     assert pairwise_sl_isomorphic([SLInstance((2,), 3)])
     assert not pairwise_sl_isomorphic([SLInstance((2,), 3), SLInstance((1,), 3)])
+    # (2,) and its box complement (2, 2, 2) at d = 3 are SL-isomorphic;
+    # (1,) at d = 3 is not, wherever it sits in the list.
+    x, mirror, other = SLInstance((2,), 3), SLInstance((2, 2, 2), 3), SLInstance((1,), 3)
+    assert pairwise_sl_isomorphic([x, mirror, x])
+    assert not pairwise_sl_isomorphic([other, x, mirror])
+    assert not pairwise_sl_isomorphic([x, mirror, other])
+    assert not pairwise_sl_isomorphic([x, other, mirror])

@@ -165,8 +165,11 @@ def test_nu2_obstruction_known_values():
     assert not nu2_obstruction(SLInstance((3,), 3), SLInstance((4,), 7))
     # valuations differ but the minimum is 0: no obstruction
     assert not nu2_obstruction(SLInstance((1,), 3), SLInstance((2,), 3))
-    with pytest.raises(ZeroWeight):
-        nu2_obstruction(SLInstance((), 2), SLInstance((1,), 1))
+    # One empty side is enough, in either order; nu2 would raise
+    # ZeroWeight too, so the message shows which guard caught it.
+    for a, b in [(SLInstance((), 2), SLInstance((1,), 1)), (SLInstance((1,), 1), SLInstance((), 2))]:
+        with pytest.raises(ZeroWeight, match="both partitions must have positive weight"):
+            nu2_obstruction(a, b)
 
 
 def _twist_exists(wl, d, wm, e, bound):
