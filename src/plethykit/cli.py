@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 = isomorphic / found / all checks pass, 1 = not
-isomorphic / nothing found / a check failed, 2 = invalid input.
+isomorphic / nothing found / a check failed, 2 = invalid input,
+3 = internal failure (an invariant the mathematics guarantees broke).
 """
 
 import json
@@ -10,7 +11,14 @@ import sys
 
 import click
 
-from .errors import PlethykitError
+from .errors import (
+    BudgetExceeded,
+    ConsistencyError,
+    EmptyDiagram,
+    InexactDivision,
+    LengthExceedsDimension,
+    NotSLIsomorphic,
+)
 from .hookcontent import p_poly
 from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
@@ -36,11 +44,24 @@ def _parse_instance(text: str, mode: str):
     kind = SLInstance if mode == "sl" else PlethysmInstance
     try:
         return kind.from_json(json.loads(text))
-    except (PlethykitError, ValueError, TypeError, RecursionError) as exc:
+    except (LengthExceedsDimension, ValueError, TypeError, RecursionError) as exc:
         raise click.UsageError(f"bad instance {text!r}: {exc}") from exc
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports an internal failure in any command as exit 3, so it is
+    never read as a mathematical "no" (1) or as invalid input (2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConsistencyError, InexactDivision) as exc:
+            _emit({"error": type(exc).__name__, "message": str(exc)})
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact SL(2)/GL(2) isomorphism tooling for plethysms."""
 
@@ -87,9 +108,9 @@ def family(kind, xs, ys, s, u, v, z):
                 raise ValueError(f"{kind} needs --s")
             build = corollary_I_family if kind == "cor1" else corollary_II_family
             instances = build(s, u, v, z)
-        verified = pairwise_sl_isomorphic(instances)
-    except (PlethykitError, ValueError) as exc:
+    except (EmptyDiagram, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
+    verified = pairwise_sl_isomorphic(instances)
     _emit({"instances": [inst.to_json() for inst in instances], "verified": verified})
     click.echo(
         f"{len(instances)} instances, pairwise SL check "
@@ -109,7 +130,7 @@ def twist(instance_a, instance_b, bound):
     b = _parse_instance(instance_b, "sl")
     try:
         solution = solve_twist(a, b, bound)
-    except PlethykitError as exc:
+    except NotSLIsomorphic as exc:
         raise click.UsageError(str(exc)) from exc
     if solution is None:
         _emit({"found": False, "l": None, "m": None, "x": None, "y": None, "verified": False})
@@ -144,7 +165,7 @@ def search(max_weight, max_d, bound):
     """Enumerate SL-equivalence classes, one JSON line per class."""
     try:
         classes = enumerate_classes(max_weight, max_d)
-    except PlethykitError as exc:
+    except BudgetExceeded as exc:  # the bound is the user's: invalid input
         raise click.UsageError(str(exc)) from exc
     for cls in classes:
         gl = classify_gl(cls)

@@ -5,24 +5,12 @@ class PlethykitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CellOutsideDiagram(PlethykitError):
-    """A (row, col) cell does not lie inside the Young diagram."""
-
-
-class NonPositiveArgument(PlethykitError):
-    """The q-analog [a] is only defined for a >= 1."""
-
-
 class InexactDivision(PlethykitError):
     """Polynomial division left a remainder where none was expected.
 
     This always signals a logic bug upstream: every quotient taken in
     this package is exact by construction.
     """
-
-
-class ZeroPolynomial(PlethykitError):
-    """The zero polynomial has no degree, so it cannot be reversed."""
 
 
 class LengthExceedsDimension(PlethykitError):
@@ -36,10 +24,6 @@ class NotSLIsomorphic(PlethykitError):
 
 class ZeroWeight(PlethykitError):
     """2-adic valuation is undefined for 0."""
-
-
-class ShapeMismatch(PlethykitError):
-    """Sequence lengths do not match the requested staircase shape."""
 
 
 class EmptyDiagram(PlethykitError):

@@ -1,16 +1,14 @@
-"""Integer partitions and Young-diagram cell statistics.
+"""Integer partitions: conjugation, box complements and enumeration.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the empty partition.  Cells are 1-based ``(row, col)``
-pairs, so ``(1, 1)`` is the top-left box of the diagram.
+empty tuple is the empty partition.
 """
 
 from collections.abc import Iterable, Iterator
 
-from .errors import CellOutsideDiagram, LengthExceedsDimension
+from .errors import LengthExceedsDimension
 
 Partition = tuple[int, ...]
-Cell = tuple[int, int]
 
 
 def canonical(parts: Iterable[int]) -> Partition:
@@ -91,13 +89,6 @@ def b_statistic(p: Partition) -> int:
     return sum(i * part for i, part in enumerate(p))
 
 
-def cells(p: Partition) -> Iterator[Cell]:
-    """All cells of the diagram, row by row, 1-based."""
-    for i, part in enumerate(p, start=1):
-        for j in range(1, part + 1):
-            yield i, j
-
-
 def partitions_of(n: int, max_parts: int, max_first: int | None = None) -> Iterator[Partition]:
     """All partitions of n with at most max_parts parts, largest part
     first, in lexicographically decreasing order."""
@@ -111,31 +102,3 @@ def partitions_of(n: int, max_parts: int, max_first: int | None = None) -> Itera
     for first in range(min(n, max_first), 0, -1):
         for rest in partitions_of(n - first, max_parts - 1, first):
             yield (first,) + rest
-
-
-def _check_cell(p: Partition, u: Cell) -> None:
-    i, j = u
-    if not (1 <= i <= len(p) and 1 <= j <= p[i - 1]):
-        raise CellOutsideDiagram(f"cell {u} is outside the diagram of {p}")
-
-
-def hook_length(p: Partition, u: Cell) -> int:
-    """Arm plus leg plus one: boxes to the right, below, and u itself.
-
-    Raises CellOutsideDiagram if u is not a box of p.
-    """
-    _check_cell(p, u)
-    i, j = u
-    arm = p[i - 1] - j
-    leg = sum(1 for part in p[i:] if part >= j)
-    return arm + leg + 1
-
-
-def content(p: Partition, u: Cell) -> int:
-    """c(u) = col - row of the cell.
-
-    Raises CellOutsideDiagram if u is not a box of p.
-    """
-    _check_cell(p, u)
-    i, j = u
-    return j - i

@@ -11,16 +11,8 @@ import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, LengthExceedsDimension
-from .hookcontent import p_poly, sl_key
-from .partition import (
-    Partition,
-    b_statistic,
-    canonical,
-    complement,
-    tilde_reduce,
-    weight,
-)
-from .qpoly import QPolynomial
+from .hookcontent import sl_key
+from .partition import Partition, canonical, complement, tilde_reduce, weight
 
 
 def _require_int(name: str, value) -> None:
@@ -89,41 +81,11 @@ class PlethysmInstance:
     def sl_instance(self) -> SLInstance:
         return SLInstance(self.lam, self.d)
 
-    def to_json(self) -> dict:
-        return {"lambda": list(self.lam), "delta": list(self.delta)}
-
     @classmethod
     def from_json(cls, obj) -> "PlethysmInstance":
         """Parse {"lambda": [...], "delta": [d1, d2]}, rejecting any other shape."""
         _require_keys(obj, {"lambda", "delta"})
         return cls(obj["lambda"], obj["delta"])
-
-
-@dataclass(frozen=True)
-class CharacterData:
-    """The character (x1^d1 x2^d2)^|lam| * q^b_shift * p with q = x2/x1."""
-
-    weight_exponents: tuple[int, int]
-    b_shift: int
-    p: QPolynomial
-
-    def monomials(self) -> dict[tuple[int, int], int]:
-        """Expand to {(x1 exponent, x2 exponent): coefficient}."""
-        e1, e2 = self.weight_exponents
-        out = {}
-        for i, c in enumerate(self.p.coefficients):
-            if c:
-                out[(e1 - self.b_shift - i, e2 + self.b_shift + i)] = c
-        return out
-
-
-def character_data(inst: PlethysmInstance) -> CharacterData:
-    w = weight(inst.lam)
-    return CharacterData(
-        weight_exponents=(w * inst.delta[0], w * inst.delta[1]),
-        b_shift=b_statistic(inst.lam),
-        p=p_poly(inst.lam, inst.d),
-    )
 
 
 def sl_isomorphic(a: SLInstance, b: SLInstance) -> bool:

@@ -15,8 +15,8 @@ SL-isomorphic for every choice of nonnegative parameters.
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import EmptyDiagram, ShapeMismatch
-from .plethysm import PlethysmInstance, SLInstance, sl_isomorphic
+from .errors import EmptyDiagram
+from .plethysm import SLInstance, sl_isomorphic
 
 Sequence = tuple[int, ...]
 
@@ -97,44 +97,6 @@ def main_family(x: Sequence, y: Sequence, u: int, v: int, z: int) -> list[SLInst
     if len(x) != len(y):
         raise ValueError(f"len(x) = {len(x)} and len(y) = {len(y)} must be equal")
     return [to_instance(desc) for desc in main_square(x, y, u, v, z)]
-
-
-def main_gl_condition(
-    x: Sequence, y: Sequence, u: int, v: int, z: int, shape: str
-) -> bool:
-    """Whether the first-row pair of the square is GL-isomorphic under
-    the minimal lifts delta = (d, 0).
-
-    ``shape`` is ``"t=s"`` (len(y) == len(x)) or ``"t=s+1"``
-    (len(y) == len(x) + 1); the condition reads
-
-        z*(z-1) == S + |x|*(u+v)            for t=s,
-        z*(z-1) == S + |x|*(u+v) + u*v      for t=s+1,
-
-    with S = |x|^2 + 2 * sum of x_i*y_j over i+j = len(y).
-
-    Raises ShapeMismatch when the sequence lengths do not fit the shape.
-    """
-    x, y = tuple(x), tuple(y)
-    s, t = len(x), len(y)
-    if shape == "t=s":
-        if t != s:
-            raise ShapeMismatch(f"shape t=s needs len(y) == len(x), got {s}, {t}")
-        extra = 0
-    elif shape == "t=s+1":
-        if t != s + 1:
-            raise ShapeMismatch(f"shape t=s+1 needs len(y) == len(x)+1, got {s}, {t}")
-        extra = u * v
-    else:
-        raise ValueError(f"shape must be 't=s' or 't=s+1', got {shape!r}")
-    cross = sum(x[i - 1] * y[t - i - 1] for i in range(1, s + 1) if t - i >= 1)
-    big_s = sum(x) ** 2 + 2 * cross
-    return z * (z - 1) == big_s + sum(x) * (u + v) + extra
-
-
-def minimal_lift(inst: SLInstance) -> PlethysmInstance:
-    """The canonical GL lift delta = (d, 0) of an SL instance."""
-    return PlethysmInstance(inst.lam, (inst.d, 0))
 
 
 # ----------------------------------------------------------------------

@@ -28,14 +28,15 @@ from plethykit.staircase import (
     StaircaseDescriptor,
     corollary_I_family,
     main_family,
-    main_gl_condition,
     main_square,
-    minimal_lift,
     pairwise_sl_isomorphic,
     reverse,
     to_instance,
 )
 from plethykit.twist import TwistSolution, solve_twist, verify_twist
+
+from .reference import main_gl_condition, minimal_lift
+
 
 def _compositions(total_max, parts, minimum):
     if parts == 0:
@@ -212,13 +213,24 @@ def test_square_families_pairwise_sl():
 def test_gl_condition_implies_first_row_gl():
     """Whenever the z*(z-1) balance equation holds (both shapes, positive
     entries <= 4), the two first-row instances are GL-isomorphic under
-    their minimal lifts delta = (d, 0).  Zero entries are excluded (see
-    _balanced_first_rows).
+    their minimal lifts delta = (d, 0), and for u != v only then.  Zero
+    entries are excluded (see _balanced_first_rows).
     """
     balanced = _balanced_first_rows()
     assert len(balanced) == 112
     for params, a, b in balanced:
         assert gl_isomorphic(minimal_lift(a), minimal_lift(b)), params
+    # On the square grid (t=s, positive entries <= 3, u != v) it is also
+    # necessary: the first row is GL-isomorphic exactly when it holds.
+    checked = holds = 0
+    for (x, y, u, v, z), (a, b, _, _) in _square_families():
+        if u == v or min((*x, *y, u, v, z)) == 0:
+            continue
+        condition = main_gl_condition(x, y, u, v, z, "t=s")
+        assert gl_isomorphic(minimal_lift(a), minimal_lift(b)) == condition, (x, y, u, v, z)
+        checked += 1
+        holds += condition
+    assert (checked, holds) == (1638, 12)
 
 
 def test_column_pairs_fail_gl_when_u_differs_from_v():
@@ -278,7 +290,10 @@ def test_reversal_and_duality():
         rev = to_instance(reverse(s))
         assert rev == dual(inst), s
         assert sl_isomorphic(inst, rev), s
+    # The lax descriptors repeat few instances, so each distinct
+    # (instance, partner) pair is checked once, under its first descriptor.
     lax = 0
+    pairs = {}
     for r in range(0, 4):
         for widths in _compositions(6, r, 0):
             for heights in _compositions(8, r, 0):
@@ -287,10 +302,13 @@ def test_reversal_and_duality():
                         continue
                     s = StaircaseDescriptor(tuple(zip(widths, heights)), slack)
                     inst = to_instance(s)
-                    assert sl_isomorphic(inst, to_instance(reverse(s))), s
-                    assert sl_isomorphic(inst, dual(inst)), s
+                    pairs.setdefault((inst, to_instance(reverse(s))), s)
+                    pairs.setdefault((inst, dual(inst)), s)
                     lax += 1
     assert lax == 46404
+    assert len(pairs) == 6272
+    for (inst, partner), s in pairs.items():
+        assert sl_isomorphic(inst, partner), s
 
 
 def test_weight_degree_parity():

@@ -3,9 +3,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from plethykit import cli
+from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
-from plethykit.qpoly import ONE
+from plethykit.errors import ConsistencyError, InexactDivision
+
+from .reference import ONE
 
 
 def run(*args):
@@ -255,3 +257,41 @@ def test_oracle_check_names_a_faulty_tableau_route(monkeypatch):
         "hook_content": ["1", "1"],
     }
     assert result.stderr == "disagreement at lambda=[1] d=1: tableau differs\n"
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    return fail
+
+
+FAMILY_MAIN = ("family", "main", "--x", "1", "--y", "1", "--u", "2", "--v", "1", "--z", "1")
+
+
+@pytest.mark.parametrize(
+    "module, name, exc, args",
+    [
+        (cli, "sl_isomorphic", ConsistencyError, ("verify", SL_A, SL_B)),
+        (staircase, "sl_isomorphic", ConsistencyError, FAMILY_MAIN),
+        (twist, "sl_isomorphic", ConsistencyError, ("twist", SL_A, SL_B)),
+        (search, "p_poly", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
+        (cli, "specialize_bialternant", InexactDivision, ("oracle-check", "--max-weight", "2", "--max-d", "2")),
+    ],
+    ids=["verify", "family", "twist", "search", "oracle-check"],
+)
+def test_internal_failure_exits_3(monkeypatch, module, name, exc, args):
+    # An internal failure is neither a "no" (1) nor invalid input (2).
+    monkeypatch.setattr(module, name, _raise(exc))
+    result = run(*args)
+    assert result.exit_code == 3
+    assert lines(result) == [{"error": exc.__name__, "message": "injected"}]
+    assert result.stderr == f"internal error: {exc.__name__}: injected\n"
+
+
+def test_search_budget_is_invalid_input(monkeypatch):
+    # The instance cap bounds what the user asked for, so passing it is exit 2.
+    monkeypatch.setattr(search, "INSTANCE_CAP", 13)
+    result = run("search", "--max-weight", "3", "--max-d", "3")
+    assert result.exit_code == 2
+    assert result.stdout == ""

@@ -9,8 +9,9 @@ from plethykit.errors import LengthExceedsDimension
 from plethykit.hookcontent import p_poly
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, complement, partitions_of, weight
-from plethykit.qpoly import ONE, QPolynomial, q_analog
+from plethykit.qpoly import QPolynomial
 
+from .reference import ONE, q_analog
 from .test_partition import partitions
 
 
@@ -87,8 +88,8 @@ def test_ssyt_known_values():
     assert specialize_ssyt((), 2) == ONE
     assert specialize_ssyt((1,), 2) == q_analog(3)
     assert specialize_ssyt((2, 2), 1) == QPolynomial([0, 0, 1])
-    assert specialize_ssyt((2,), 3).eval_at_one() == 10
-    assert specialize_ssyt((1, 1, 1), 2).eval_at_one() == 1
+    assert sum(specialize_ssyt((2,), 3).coefficients) == 10
+    assert sum(specialize_ssyt((1, 1, 1), 2).coefficients) == 1
     with pytest.raises(LengthExceedsDimension):
         specialize_ssyt((1, 1), 0)
 
@@ -141,7 +142,7 @@ def test_ssyt_past_the_old_budget():
     # one at a time, so the route must count them without enumerating.
     f = specialize_ssyt((6, 6), 12)
     assert f == p_poly((6, 6), 12).shifted(b_statistic((6, 6)))
-    assert f.eval_at_one() == 32_821_152
+    assert sum(f.coefficients) == 32_821_152
 
 
 @settings(deadline=None)
@@ -159,7 +160,8 @@ def test_routes_agree_and_match_hook_content(p, d):
 def test_eval_at_one_counts_tableaux(p, d):
     if len(p) > d + 1:
         return
-    assert specialize_bialternant(p, d).eval_at_one() == specialize_ssyt(p, d).eval_at_one()
+    tableaux = sum(specialize_ssyt(p, d).coefficients)
+    assert sum(specialize_bialternant(p, d).coefficients) == tableaux
 
 
 @given(partitions(max_weight=8, max_parts=4), st.integers(0, 5))
@@ -170,7 +172,7 @@ def test_complement_reverses_the_specialization(p, d):
     comp = complement(p, d + 1)
     f = specialize_bialternant(p, d)
     g = specialize_bialternant(comp, d)
-    assert f.reverse().shifted(b_statistic(comp)) == g
+    assert QPolynomial(f.coefficients[::-1]).shifted(b_statistic(comp)) == g
 
 
 def test_bialternant_handles_wide_rows():
@@ -180,4 +182,4 @@ def test_bialternant_handles_wide_rows():
     g = specialize_ssyt((8,), 6)
     assert f == g
     # a single row of 8 cells with entries <= 7: C(8 + 6, 6) fillings
-    assert f.eval_at_one() == comb(14, 6)
+    assert sum(f.coefficients) == comb(14, 6)

@@ -47,7 +47,7 @@ def test_class_invariants(bounds):
     for c in classes:
         assert len(c.members) >= 2
         assert c.key.coefficients[0] == 1
-        assert c.key.is_palindromic()
+        assert c.key.coefficients == c.key.coefficients[::-1]
         for inst in c.members:
             assert 1 <= weight(inst.lam) <= max_weight
             assert 1 <= inst.d <= max_d
