@@ -4,12 +4,14 @@ Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 = isomorphic / found / all checks pass, 1 = not
 isomorphic / nothing found / a check failed, 2 = invalid input,
 3 = internal failure (an invariant the mathematics guarantees broke).
+
+Each command takes the parsed arguments and returns its exit code;
+``main`` alone exits.
 """
 
+import argparse
 import json
 import sys
-
-import click
 
 from .errors import (
     BudgetExceeded,
@@ -33,11 +35,20 @@ from .staircase import (
 )
 from .twist import solve_twist, verify_twist
 
-NONNEGATIVE = click.IntRange(min=0)
+
+class UsageError(Exception):
+    """Invalid input found after parsing: exit 2 with stdout empty."""
 
 
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, separators=(",", ":")))
+    print(json.dumps(obj, separators=(",", ":")))
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
 
 
 def _parse_instance(text: str, mode: str):
@@ -45,155 +56,89 @@ def _parse_instance(text: str, mode: str):
     try:
         return kind.from_json(json.loads(text))
     except (LengthExceedsDimension, ValueError, TypeError, RecursionError) as exc:
-        raise click.UsageError(f"bad instance {text!r}: {exc}") from exc
+        raise UsageError(f"bad instance {text!r}: {exc}") from exc
 
 
-class _Commands(click.Group):
-    """Reports an internal failure in any command as exit 3, so it is
-    never read as a mathematical "no" (1) or as invalid input (2)."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ConsistencyError, InexactDivision) as exc:
-            _emit({"error": type(exc).__name__, "message": str(exc)})
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Commands)
-def main():
-    """Exact SL(2)/GL(2) isomorphism tooling for plethysms."""
-
-
-@main.command()
-@click.argument("instance_a")
-@click.argument("instance_b")
-@click.option(
-    "--mode",
-    type=click.Choice(["sl", "gl"]),
-    default="sl",
-    show_default=True,
-    help="sl takes {'lambda':[...],'d':n}; gl takes {'lambda':[...],'delta':[d1,d2]}.",
-)
-def verify(instance_a, instance_b, mode):
+def verify(args) -> int:
     """Decide whether two instances are isomorphic."""
-    a = _parse_instance(instance_a, mode)
-    b = _parse_instance(instance_b, mode)
-    isomorphic = sl_isomorphic(a, b) if mode == "sl" else gl_isomorphic(a, b)
-    _emit({"mode": mode, "isomorphic": isomorphic})
-    click.echo(f"{mode}-isomorphic: {'yes' if isomorphic else 'no'}", err=True)
-    sys.exit(0 if isomorphic else 1)
+    a = _parse_instance(args.instance_a, args.mode)
+    b = _parse_instance(args.instance_b, args.mode)
+    isomorphic = sl_isomorphic(a, b) if args.mode == "sl" else gl_isomorphic(a, b)
+    _emit({"mode": args.mode, "isomorphic": isomorphic})
+    print(f"{args.mode}-isomorphic: {'yes' if isomorphic else 'no'}", file=sys.stderr)
+    return 0 if isomorphic else 1
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(["main", "cor1", "cor2"]))
-@click.option("--x", "xs", multiple=True, type=int, help="x entries (main only; repeatable).")
-@click.option("--y", "ys", multiple=True, type=int, help="y entries (main only; repeatable).")
-@click.option("--s", "s", type=int, default=None, help="family depth (cor1/cor2 only).")
-@click.option("--u", required=True, type=int)
-@click.option("--v", required=True, type=int)
-@click.option("--z", required=True, type=int)
-def family(kind, xs, ys, s, u, v, z):
+def family(args) -> int:
     """Generate an isomorphism family and verify it pairwise."""
     try:
-        if kind == "main":
-            if s is not None:
+        if args.kind == "main":
+            if args.s is not None:
                 raise ValueError("--s only applies to cor1/cor2")
-            instances = main_family(xs, ys, u, v, z)
+            instances = main_family(args.x, args.y, args.u, args.v, args.z)
         else:
-            if xs or ys:
+            if args.x or args.y:
                 raise ValueError("--x/--y only apply to the main family")
-            if s is None:
-                raise ValueError(f"{kind} needs --s")
-            build = corollary_I_family if kind == "cor1" else corollary_II_family
-            instances = build(s, u, v, z)
+            if args.s is None:
+                raise ValueError(f"{args.kind} needs --s")
+            build = corollary_I_family if args.kind == "cor1" else corollary_II_family
+            instances = build(args.s, args.u, args.v, args.z)
     except (EmptyDiagram, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     verified = pairwise_sl_isomorphic(instances)
     _emit({"instances": [inst.to_json() for inst in instances], "verified": verified})
-    click.echo(
-        f"{len(instances)} instances, pairwise SL check "
-        f"{'passed' if verified else 'FAILED'}",
-        err=True,
+    print(
+        f"{len(instances)} instances, pairwise SL check {'passed' if verified else 'FAILED'}",
+        file=sys.stderr,
     )
-    sys.exit(0 if verified else 1)
+    return 0 if verified else 1
 
 
-@main.command()
-@click.argument("instance_a")
-@click.argument("instance_b")
-@click.option("--bound", type=NONNEGATIVE, default=50, show_default=True, help="l, m search bound.")
-def twist(instance_a, instance_b, bound):
+def twist(args) -> int:
     """Find column/delta twists making an SL pair GL-isomorphic."""
-    a = _parse_instance(instance_a, "sl")
-    b = _parse_instance(instance_b, "sl")
+    a = _parse_instance(args.instance_a, "sl")
+    b = _parse_instance(args.instance_b, "sl")
     try:
-        solution = solve_twist(a, b, bound)
+        solution = solve_twist(a, b, args.bound)
     except NotSLIsomorphic as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     if solution is None:
         _emit({"found": False, "l": None, "m": None, "x": None, "y": None, "verified": False})
-        click.echo(f"no twist with l, m <= {bound}", err=True)
-        sys.exit(1)
+        print(f"no twist with l, m <= {args.bound}", file=sys.stderr)
+        return 1
     verified = verify_twist(a, b, solution)
-    _emit(
-        {
-            "found": True,
-            "l": solution.l,
-            "m": solution.m,
-            "x": solution.x,
-            "y": solution.y,
-            "verified": verified,
-        }
-    )
-    click.echo(
+    _emit({"found": True, **solution._asdict(), "verified": verified})
+    print(
         f"twist l={solution.l} m={solution.m} x={solution.x} y={solution.y}, "
         f"verification {'passed' if verified else 'FAILED'}",
-        err=True,
+        file=sys.stderr,
     )
-    sys.exit(0)
+    return 0
 
 
-@main.command()
-@click.option("--max-weight", required=True, type=NONNEGATIVE)
-@click.option("--max-d", required=True, type=NONNEGATIVE)
-@click.option(
-    "--bound", type=NONNEGATIVE, default=50, help="ignored; kept so existing command lines still run."
-)
-def search(max_weight, max_d, bound):
+def search(args) -> int:
     """Enumerate SL-equivalence classes, one JSON line per class."""
     try:
-        classes = enumerate_classes(max_weight, max_d)
+        classes = enumerate_classes(args.max_weight, args.max_d)
     except BudgetExceeded as exc:  # the bound is the user's: invalid input
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     for cls in classes:
-        gl = classify_gl(cls)
-        _emit(
-            {
-                "P": cls.key.to_json(),
-                "members": [inst.to_json() for inst in cls.members],
-                "gl": {label: [list(pair) for pair in pairs] for label, pairs in gl.items()},
-            }
-        )
-    click.echo(f"{len(classes)} classes", err=True)
-    sys.exit(0)
+        gl = {label: [list(pair) for pair in pairs] for label, pairs in classify_gl(cls).items()}
+        _emit({"P": cls.key.to_json(), "members": [inst.to_json() for inst in cls.members], "gl": gl})
+    print(f"{len(classes)} classes", file=sys.stderr)
+    return 0
 
 
-@main.command("oracle-check")
-@click.option("--max-weight", required=True, type=NONNEGATIVE)
-@click.option("--max-d", required=True, type=NONNEGATIVE)
-@click.option("--inject-fault", is_flag=True, hidden=True)
-def oracle_check(max_weight, max_d, inject_fault):
+def oracle_check(args) -> int:
     """Check bialternant, tableau, and hook-content routes against
     each other on every instance within the bounds."""
     checked = 0
-    for n in range(1, max_weight + 1):
+    for n in range(1, args.max_weight + 1):
         for lam in partitions_of(n, n):
             memo = {}  # the shapes of (lam, d) recur in (lam, d + 1), never in another lam
-            for d in range(len(lam) - 1, max_d + 1):
+            for d in range(len(lam) - 1, args.max_d + 1):
                 expected = p_poly(lam, d).shifted(b_statistic(lam))
-                if inject_fault:
+                if args.inject_fault:
                     coeffs = [*expected.coefficients, 0]
                     coeffs[1] += 1
                     expected = QPolynomial(coeffs)
@@ -208,14 +153,80 @@ def oracle_check(max_weight, max_d, inject_fault):
                     routes = {name: f.to_json() for name, f in routes.items()}
                     _emit({"agree": False, "lambda": list(lam), "d": d, "routes": routes})
                     verb = "differs" if len(odd) == 1 else "differ"
-                    click.echo(
-                        f"disagreement at lambda={list(lam)} d={d}: {', '.join(odd)} {verb}", err=True
+                    print(
+                        f"disagreement at lambda={list(lam)} d={d}: {', '.join(odd)} {verb}",
+                        file=sys.stderr,
                     )
-                    sys.exit(1)
+                    return 1
                 checked += 1
     _emit({"agree": True, "instances": checked})
-    click.echo(f"{checked} instances agree", err=True)
-    sys.exit(0)
+    print(f"{checked} instances agree", file=sys.stderr)
+    return 0
+
+
+# Built once at import: building it per call would cost every run.  No
+# parser accepts abbreviated options, so a typo is never read as a flag.
+parser = argparse.ArgumentParser(
+    prog="plethykit",
+    description="Exact SL(2)/GL(2) isomorphism tooling for plethysms.",
+    allow_abbrev=False,
+)
+commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+cmd = commands.add_parser("verify", help=verify.__doc__, allow_abbrev=False)
+cmd.add_argument("instance_a")
+cmd.add_argument("instance_b")
+cmd.add_argument(
+    "--mode",
+    choices=["sl", "gl"],
+    default="sl",
+    help="sl takes {'lambda':[...],'d':n}; gl takes {'lambda':[...],'delta':[d1,d2]} (default: sl).",
+)
+cmd.set_defaults(run=verify)
+
+cmd = commands.add_parser("family", help=family.__doc__, allow_abbrev=False)
+cmd.add_argument("kind", choices=["main", "cor1", "cor2"])
+cmd.add_argument("--x", action="append", type=int, default=[], help="x entries (main only; repeatable).")
+cmd.add_argument("--y", action="append", type=int, default=[], help="y entries (main only; repeatable).")
+cmd.add_argument("--s", type=int, help="family depth (cor1/cor2 only).")
+cmd.add_argument("--u", required=True, type=int)
+cmd.add_argument("--v", required=True, type=int)
+cmd.add_argument("--z", required=True, type=int)
+cmd.set_defaults(run=family)
+
+cmd = commands.add_parser("twist", help=twist.__doc__, allow_abbrev=False)
+cmd.add_argument("instance_a")
+cmd.add_argument("instance_b")
+cmd.add_argument("--bound", type=_nonnegative, default=50, help="l, m search bound (default: 50).")
+cmd.set_defaults(run=twist)
+
+cmd = commands.add_parser("search", help=search.__doc__, allow_abbrev=False)
+cmd.add_argument("--max-weight", required=True, type=_nonnegative)
+cmd.add_argument("--max-d", required=True, type=_nonnegative)
+cmd.add_argument("--bound", type=_nonnegative, default=50, help="ignored; kept so old command lines still run.")
+cmd.set_defaults(run=search)
+
+cmd = commands.add_parser("oracle-check", help=oracle_check.__doc__, allow_abbrev=False)
+cmd.add_argument("--max-weight", required=True, type=_nonnegative)
+cmd.add_argument("--max-d", required=True, type=_nonnegative)
+cmd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+cmd.set_defaults(run=oracle_check)
+
+
+def main(argv=None, prog_name="plethykit"):
+    """Run the command named in argv (default: sys.argv[1:]) and exit
+    with its code.  Usage messages always name the program plethykit;
+    prog_name is accepted and ignored, because perfbench/job.py passes it."""
+    args = parser.parse_args(argv)
+    try:
+        code = args.run(args)
+    except UsageError as exc:
+        parser.error(str(exc))
+    except (ConsistencyError, InexactDivision) as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc)})
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,13 +12,10 @@ import doctest
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import plethykit
-from plethykit.cli import main
 from plethykit.hookcontent import p_poly
 
-from .test_cli import SL_A, SL_B
+from .test_cli import SL_A, SL_B, run
 from .test_readme import README
 
 SRC = Path(plethykit.__file__).resolve().parent
@@ -84,14 +81,13 @@ def _reached_code():
             code = frame.f_code
             reached.add((code.co_filename, code.co_firstlineno))
 
-    runner = CliRunner()
     codes = []
     p_poly.cache_clear()  # a cached call would not enter p_poly or its helpers
     sys.setprofile(profile)
     try:
         doctest_result = doctest.testfile(str(README), module_relative=False)
         for argv, _ in INVOCATIONS:
-            codes.append(runner.invoke(main, argv).exit_code)
+            codes.append(run(*argv).exit_code)
     finally:
         sys.setprofile(None)
     assert doctest_result.failed == 0

@@ -1,7 +1,9 @@
+import contextlib
+import io
 import json
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
@@ -10,8 +12,18 @@ from plethykit.errors import ConsistencyError, InexactDivision
 from .reference import ONE
 
 
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run(*argv):
+    """``plethykit *argv`` in-process: its exit code and both streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    return Result(exited.value.code, out.getvalue(), err.getvalue())
 
 
 def lines(result):
@@ -181,6 +193,26 @@ def test_twist_rejects_coerced_instances(bad):
     ],
 )
 def test_negative_parameters_are_invalid_input(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("search", "--max-w", "3", "--max-d", "3"),  # abbreviated --max-weight
+        ("verify", SL_A, SL_B, "--mod", "sl"),  # abbreviated --mode
+        ("search", "--max-weight", "3", "--max-d", "3", "--nope"),  # unknown option
+        ("--nope",),
+        (),  # no command
+        ("family", "main", "--x", "-1", "--y", "1", "--u", "1", "--v", "1", "--z", "1"),
+    ],
+    ids=["abbreviated", "abbreviated-mode", "unknown-option", "unknown-top-option", "no-command", "negative-x"],
+)
+def test_malformed_command_lines_are_invalid_input(args):
+    # No option is read from a prefix, and a negative step is rejected,
+    # not read as an option or coerced.
     result = run(*args)
     assert result.exit_code == 2
     assert result.stdout == ""

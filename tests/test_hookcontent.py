@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import b_statistic, complement, conjugate, partitions_of, weight
+from plethykit.plethysm import SLInstance, sl_isomorphic
 
 from .reference import ONE, cells, content, exact_div, hook_length, mul, q_analog
 from .test_partition import partitions
@@ -205,6 +206,23 @@ def test_degree_formula_known_values():
     assert p_poly((1, 1), 3).degree == 4
     assert p_poly((2, 2), 2).degree == 4
     assert p_poly((), 5).degree == 0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((6, 5), 3), ((4, 1), 5)),
+        (((4, 2, 1, 1, 1), 8), ((4, 3, 1, 1, 1, 1, 1), 8)),
+        (((3, 3, 2), 9), ((2, 2, 2, 2, 1, 1), 10)),
+        # the census candidate: widths (a,b,a), heights and slack (c,a,c,b)
+        # against (a,c,a) with (c,b,a,b), at a, b, c = 1, 1, 2
+        (((3, 3, 2, 1, 1), 5), ((4, 4, 3, 1), 4)),
+    ],
+)
+def test_sporadic_pairs_no_family_explains(a, b):
+    assert sl_key(*a) == sl_key(*b)
+    assert p_poly(*a) == p_poly(*b)
+    assert sl_isomorphic(SLInstance(*a), SLInstance(*b))
 
 
 def test_p_poly_cache_returns_equal_objects():

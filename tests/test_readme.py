@@ -10,9 +10,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from plethykit.cli import main
+from .test_cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,7 +55,7 @@ def test_every_cli_example_is_found():
     "argv, stdout, codes", CLI_EXAMPLES, ids=[" ".join(ex[0]) for ex in CLI_EXAMPLES]
 )
 def test_cli_example(argv, stdout, codes):
-    result = CliRunner().invoke(main, argv)
+    result = run(*argv)
     assert result.stdout.splitlines() == stdout
     assert stdout  # every example shows its JSON output
     for code in codes:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from plethykit.errors import NotSLIsomorphic, ZeroWeight
 from plethykit.partition import add, weight
-from plethykit.plethysm import SLInstance, dual, normalize
+from plethykit.plethysm import SLInstance, dual, normalize, sl_isomorphic
 from plethykit.twist import (
     TwistSolution,
     _min_y_solution,
@@ -170,6 +170,23 @@ def test_nu2_obstruction_known_values():
     for a, b in [(SLInstance((), 2), SLInstance((1,), 1)), (SLInstance((1,), 1), SLInstance((), 2))]:
         with pytest.raises(ZeroWeight, match="both partitions must have positive weight"):
             nu2_obstruction(a, b)
+
+
+def test_stronger_invariants_fail_on_unobstructed_pairs():
+    """Two statements stronger than "not obstructed", each refuted by an
+    SL-isomorphic pair with odd d and e that the predicate leaves
+    unobstructed."""
+    # min(nu2|lam|, nu2(d+1)) is not a class invariant for odd d: 2 against 1.
+    a, b = SLInstance((5, 3), 3), SLInstance((3, 1, 1, 1), 5)
+    assert sl_isomorphic(a, b) and not nu2_obstruction(a, b)
+    assert min(nu2(weight(a.lam)), nu2(a.d + 1)) == 2
+    assert min(nu2(weight(b.lam)), nu2(b.d + 1)) == 1
+    # |lam| = |mu| (mod 2^m), m = min(nu2(d+1), nu2(e+1)), fails on a pair and its dual.
+    a, b = SLInstance((1,), 3), SLInstance((1, 1, 1), 3)
+    assert sl_isomorphic(a, b) and not nu2_obstruction(a, b)
+    m = min(nu2(a.d + 1), nu2(b.d + 1))
+    assert m == 2
+    assert (weight(a.lam) - weight(b.lam)) % 2**m != 0
 
 
 def _twist_exists(wl, d, wm, e, bound):
