@@ -8,39 +8,26 @@ S_lambda(C^{d+1}).
 
 Equal P polynomials are the complete SL(2)-isomorphism invariant, and
 ``sl_key`` decides it without expanding P: the key is the net exponent
-of each q-integer [n] in C/H.  Instances are compared and grouped by
-their keys; ``p_poly`` is the key's printed form, expanded only where a
-polynomial is shown or compared as one.
+of each q-integer [n] in C/H.  It counts contents and hooks a rectangle
+at a time, one rectangle per block of equal rows for the contents and
+one per (row block, column block) pair for the hooks, so its cost grows
+with the number of distinct parts and the diagram's width and height,
+not with the cell count or with d.  Instances are compared and grouped
+by their keys; ``p_poly`` is the key's printed form, expanded only where
+a polynomial is shown or compared as one.
 
 The expansion goes through the (1 - q^n) factorization: multiplying by
 (1 - q^a) and dividing by (1 - q^b) are both single passes over the
 coefficient array, which keeps the large staircase instances cheap.
 """
 
-from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 
 from .errors import InexactDivision, LengthExceedsDimension
-from .partition import Partition, conjugate
+from .partition import Partition
 from .qpoly import QPolynomial
-
-
-def _hook_multiset(p: Partition) -> list[int]:
-    conj = conjugate(p)
-    return [
-        (row - j) + (conj[j - 1] - i) + 1
-        for i, row in enumerate(p, start=1)
-        for j in range(1, row + 1)
-    ]
-
-
-def _content_multiset(p: Partition, d: int) -> list[int]:
-    return [
-        d + 1 + (j - i)
-        for i, row in enumerate(p, start=1)
-        for j in range(1, row + 1)
-    ]
 
 
 def _times_one_minus(f: list[int], a: int) -> list[int]:
@@ -84,13 +71,64 @@ def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
     (1 - q^n) factors of the numerator and the denominator equal in
     number, so (1 - q)^|p| cancels without a correction.
 
+    Both multisets are counted by blocks, not by cells.  The runs of
+    equal parts L_1 > ... > L_r cut the rows into r blocks: row block k
+    has m_k rows and ends at row R_k = m_1 + ... + m_k.  The columns
+    L_{l+1} < j <= L_l (L_{r+1} = 0) all have height R_l and form
+    column block l, of width w_l = L_l - L_{l+1}.
+
+    * Contents: row block k is an m_k x L_k rectangle whose values
+      d+1+c(u) are d+2-R_k + a + b, 0 <= a < m_k, 0 <= b < L_k.
+    * Hooks: row block k meets column block l inside the diagram exactly
+      when l >= k, in an m_k x w_l rectangle whose hooks are
+      L_k - L_l + R_l - R_k + 1 + a + b, 0 <= a < m_k, 0 <= b < w_l.
+
+    The multiset {low + a + b : 0 <= a < h, 0 <= b < w} has generating
+    function q^low (1 - q^h)(1 - q^w) / (1 - q)^2.  So a content
+    rectangle adds +1, -1, -1, +1 at low, low+h, low+w, low+h+w of a
+    second-difference array, a hook rectangle adds the negatives, and
+    two prefix sums leave c_n in the slot of n.  Hooks lie in 1, ...,
+    L_1 + len(p) - 1 and contents in d+2-len(p), ..., d+L_1.  With
+    size = L_1 + len(p) + 2 and split = min(d+2-len(p), size), slot j
+    stands for n = j below split and for n = j + d+2-len(p) - split from
+    split on: one range when the two overlap, the hooks and then the
+    contents when they do not.  The array has at most 2 * size slots, so
+    the cost is O(r^2 + L_1 + len(p)) time and memory, whatever d is.
+
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
-    net = Counter(_content_multiset(p, d))
-    net.subtract(_hook_multiset(p))
-    return frozenset((n, c) for n, c in net.items() if c)
+    if not p:
+        return frozenset()
+    parts, bottoms = [], []  # L_k and R_k
+    for i, part in enumerate(p, start=1):
+        if parts and parts[-1] == part:
+            bottoms[-1] = i
+        else:
+            parts.append(part)
+            bottoms.append(i)
+    heights = [bottom - top for top, bottom in zip([0] + bottoms, bottoms)]
+    widths = [part - below for part, below in zip(parts, parts[1:] + [0])]
+    first_content = d + 2 - len(p)
+    size = p[0] + len(p) + 2
+    split = min(first_content, size)
+    diff = [0] * (split + size)
+    for k, (L, h, R) in enumerate(zip(parts, heights, bottoms)):
+        low = split + len(p) - R
+        diff[low] += 1
+        diff[low + h] -= 1
+        diff[low + L] -= 1
+        diff[low + h + L] += 1
+        for l in range(k, len(parts)):
+            low, w = L - parts[l] + bottoms[l] - R + 1, widths[l]
+            diff[low] -= 1
+            diff[low + h] += 1
+            diff[low + w] += 1
+            diff[low + h + w] -= 1
+    counts = list(accumulate(accumulate(diff)))
+    hooks, contents = enumerate(counts[:split]), enumerate(counts[split:], first_content)
+    return frozenset(filter(itemgetter(1), chain(hooks, contents)))
 
 
 @lru_cache(maxsize=8192)

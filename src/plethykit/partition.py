@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, box complements and enumeration.
+"""Integer partitions: box complements, tilde reduction and enumeration.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.
@@ -34,13 +34,6 @@ def canonical(parts: Iterable[int]) -> Partition:
 def weight(p: Partition) -> int:
     """|p|, the sum of all parts."""
     return sum(p)
-
-
-def conjugate(p: Partition) -> Partition:
-    """The transposed diagram: column lengths of p, e.g. (3,2,2,1) -> (4,3,1)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
 
 
 def complement(p: Partition, k: int) -> Partition:

@@ -9,6 +9,7 @@ weights |delta|*|lam| match.
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError, LengthExceedsDimension
 from .hookcontent import sl_key
@@ -41,6 +42,11 @@ class SLInstance:
             raise LengthExceedsDimension(
                 f"{self.lam} has more than {self.d + 1} rows"
             )
+
+    @cached_property
+    def key(self) -> frozenset[tuple[int, int]]:
+        """``sl_key(lam, d)``, built on first use and kept on the instance."""
+        return sl_key(self.lam, self.d)
 
     def to_json(self) -> dict:
         return {"lambda": list(self.lam), "d": self.d}
@@ -90,12 +96,12 @@ class PlethysmInstance:
 
 def sl_isomorphic(a: SLInstance, b: SLInstance) -> bool:
     """True iff the two instances have equal P polynomials, decided by
-    comparing their ``sl_key`` values.
+    comparing their keys (``SLInstance.key``).
 
     Whenever they do, |lam_a|*d_a - |lam_b|*d_b must be even; a failure
     of that parity is raised as ConsistencyError rather than returned.
     """
-    if sl_key(a.lam, a.d) != sl_key(b.lam, b.d):
+    if a.key != b.key:
         return False
     if (weight(a.lam) * a.d - weight(b.lam) * b.d) % 2:
         raise ConsistencyError(

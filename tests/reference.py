@@ -4,8 +4,11 @@ plethykit against.  The package itself calls none of them.
 * ``mul``, ``exact_div``, ``q_analog`` and ``ONE``: schoolbook ring
   operations on ``QPolynomial``, the product/quotient reference for
   ``p_poly`` (which works through (1 - q^n) passes instead).
+* ``conjugate``: the transposed diagram, which the block-wise
+  ``sl_key`` reads off the row blocks instead.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
-  the reference for the hook and content multisets of ``hookcontent``.
+  and ``per_cell_key``, the net q-integer exponents they give, the
+  reference for the block-wise ``sl_key``.
 * ``CharacterData`` and ``character_data``: the full GL(2) character,
   the slow path for ``gl_isomorphic``.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
@@ -13,6 +16,7 @@ plethykit against.  The package itself calls none of them.
   is GL-isomorphic, checked against ``gl_isomorphic``.
 """
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -82,6 +86,13 @@ def exact_div(f: QPolynomial, divisor: QPolynomial) -> QPolynomial:
     return QPolynomial(quot)
 
 
+def conjugate(p: Partition) -> Partition:
+    """The transposed diagram: column lengths of p, e.g. (3,2,2,1) -> (4,3,1)."""
+    if not p:
+        return ()
+    return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
+
+
 def cells(p: Partition) -> Iterator[Cell]:
     """All cells of the diagram, row by row, as 1-based (row, col)."""
     for i, part in enumerate(p, start=1):
@@ -101,6 +112,14 @@ def content(p: Partition, u: Cell) -> int:
     """c(u) = col - row of the cell."""
     i, j = u
     return j - i
+
+
+def per_cell_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
+    """The pairs (n, c_n), c_n != 0, with c_n the number of cells with
+    d+1+c(u) = n minus the number with h(u) = n, counted cell by cell."""
+    net = Counter(d + 1 + content(p, u) for u in cells(p))
+    net.subtract(hook_length(p, u) for u in cells(p))
+    return frozenset((n, c) for n, c in net.items() if c)
 
 
 @dataclass(frozen=True)

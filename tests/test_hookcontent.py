@@ -6,10 +6,20 @@ from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
-from plethykit.partition import b_statistic, complement, conjugate, partitions_of, weight
+from plethykit.partition import b_statistic, complement, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 
-from .reference import ONE, cells, content, exact_div, hook_length, mul, q_analog
+from .reference import (
+    ONE,
+    cells,
+    conjugate,
+    content,
+    exact_div,
+    hook_length,
+    mul,
+    per_cell_key,
+    q_analog,
+)
 from .test_partition import partitions
 
 
@@ -154,6 +164,46 @@ def test_sl_key_partitions_like_p_poly_exhaustively():
     assert classes == {frozenset(members) for members in by_poly.values()}
 
 
+def test_sl_key_matches_per_cell_key_exhaustively():
+    # Every (p, d) with |p| <= 14 and length(p) - 1 <= d <= 12: the
+    # block-wise key equals the cell-by-cell one.
+    instances = [
+        (p, d)
+        for n in range(15)
+        for p in partitions_of(n, n)
+        for d in range(max(len(p) - 1, 0), 13)
+    ]
+    assert len(instances) == 4564
+    for p, d in instances:
+        assert sl_key(p, d) == per_cell_key(p, d), (p, d)
+
+
+@st.composite
+def _block_shapes(draw):
+    """Partitions with up to 10 distinct parts, each repeated 1-3 times."""
+    blocks = draw(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+            max_size=10,
+            unique_by=lambda block: block[0],
+        )
+    )
+    return tuple(sorted((part for part, m in blocks for _ in range(m)), reverse=True))
+
+
+@given(_block_shapes(), st.integers(0, 10**6))
+def test_sl_key_matches_per_cell_key_on_many_blocks(p, extra):
+    d = max(len(p) - 1, 0) + extra
+    assert sl_key(p, d) == per_cell_key(p, d)
+
+
+def test_sl_key_size_does_not_depend_on_d():
+    # Hooks of (2, 1) are {3, 1, 1}, contents d+1+{0, 1, -1}: a sweep
+    # over an array indexed by n would need O(d) memory here.
+    big = 10**18
+    assert sl_key((2, 1), big) == {(big, 1), (big + 1, 1), (big + 2, 1), (3, -1), (1, -2)}
+
+
 @st.composite
 def _instances(draw, max_weight=12, max_d=10):
     p = draw(partitions(max_weight=max_weight, max_parts=max_d + 1))
@@ -236,3 +286,7 @@ def test_hook_content_handles_large_staircase_shapes():
     assert f.coefficients[0] == 1
     assert f.coefficients == f.coefficients[::-1]
     assert f.degree == weight(p) * 9 - 2 * b_statistic(p)
+    # Three row blocks of 15 rows (lengths 70, 45, 20), 2,025 cells.
+    big = (70,) * 15 + (45,) * 15 + (20,) * 15
+    assert weight(big) == 2025
+    assert sl_key(big, 49) == per_cell_key(big, 49)

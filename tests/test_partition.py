@@ -10,13 +10,12 @@ from plethykit.partition import (
     b_statistic,
     canonical,
     complement,
-    conjugate,
     partitions_of,
     tilde_reduce,
     weight,
 )
 
-from .reference import cells, content, hook_length
+from .reference import cells, conjugate, content, hook_length
 
 
 @st.composite

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plethykit import plethysm
 from plethykit.errors import EmptyDiagram
+from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, dual, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
     StaircaseDescriptor,
@@ -263,7 +265,7 @@ def test_corollary_parameter_validation(bad):
         corollary_II_family(*bad)
 
 
-def test_pairwise_sl_isomorphic_basics():
+def test_pairwise_sl_isomorphic_basics(monkeypatch):
     assert pairwise_sl_isomorphic([])
     assert pairwise_sl_isomorphic([SLInstance((2,), 3)])
     assert not pairwise_sl_isomorphic([SLInstance((2,), 3), SLInstance((1,), 3)])
@@ -274,3 +276,17 @@ def test_pairwise_sl_isomorphic_basics():
     assert not pairwise_sl_isomorphic([other, x, mirror])
     assert not pairwise_sl_isomorphic([x, mirror, other])
     assert not pairwise_sl_isomorphic([x, other, mirror])
+    # One key per member, kept on the instance: a second call on the
+    # same list builds none.
+    built = []
+
+    def counting_sl_key(p, d):
+        built.append((p, d))
+        return sl_key(p, d)
+
+    monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
+    family = main_family((1,), (1,), 2, 1, 1)
+    assert pairwise_sl_isomorphic(family)
+    assert len(built) == 4
+    assert pairwise_sl_isomorphic(family)
+    assert len(built) == 4
