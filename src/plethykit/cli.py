@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 = isomorphic / found / all checks pass, 1 = not
 isomorphic / nothing found / a check failed, 2 = invalid input,
-3 = internal failure (an invariant the mathematics guarantees broke).
+3 = internal failure (an invariant the mathematics guarantees broke,
+or any other unexpected exception).
 
 Each command takes the parsed arguments and returns its exit code;
 ``main`` alone exits.
@@ -13,14 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BudgetExceeded,
-    ConsistencyError,
-    EmptyDiagram,
-    InexactDivision,
-    LengthExceedsDimension,
-    NotSLIsomorphic,
-)
+from .errors import BudgetExceeded, EmptyDiagram, LengthExceedsDimension, NotSLIsomorphic
 from .hookcontent import p_poly
 from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
@@ -222,7 +216,7 @@ def main(argv=None, prog_name="plethykit"):
         code = args.run(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ConsistencyError, InexactDivision) as exc:
+    except Exception as exc:  # never reported as a "no" (exit 1)
         _emit({"error": type(exc).__name__, "message": str(exc)})
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 3

@@ -8,7 +8,7 @@ weights |delta|*|lam| match.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError, LengthExceedsDimension
@@ -64,9 +64,9 @@ class PlethysmInstance:
 
     lam: Partition
     delta: tuple[int, int]
+    _sl: SLInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", canonical(self.lam))
         object.__setattr__(self, "delta", tuple(self.delta))
         if len(self.delta) != 2:
             raise ValueError(f"delta must have exactly two entries, got {self.delta}")
@@ -75,17 +75,15 @@ class PlethysmInstance:
         d1, d2 = self.delta
         if not (d1 >= d2 >= 0):
             raise ValueError(f"delta must satisfy delta1 >= delta2 >= 0, got {self.delta}")
-        if len(self.lam) > self.d + 1:
-            raise LengthExceedsDimension(
-                f"{self.lam} has more than {self.d + 1} rows"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.delta[0] - self.delta[1]
+        # SLInstance parses lam and checks its length against d
+        sl = SLInstance(self.lam, d1 - d2)
+        object.__setattr__(self, "lam", sl.lam)
+        object.__setattr__(self, "_sl", sl)
 
     def sl_instance(self) -> SLInstance:
-        return SLInstance(self.lam, self.d)
+        """The (lam, d) instance built at construction, so its key is
+        built at most once."""
+        return self._sl
 
     @classmethod
     def from_json(cls, obj) -> "PlethysmInstance":

@@ -145,7 +145,7 @@ def character_data(inst: PlethysmInstance) -> CharacterData:
     return CharacterData(
         weight_exponents=(w * inst.delta[0], w * inst.delta[1]),
         b_shift=b_statistic(inst.lam),
-        p=p_poly(inst.lam, inst.d),
+        p=p_poly(inst.lam, inst.sl_instance().d),
     )
 
 

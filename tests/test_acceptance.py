@@ -25,7 +25,6 @@ from plethykit.plethysm import (
 )
 from plethykit.search import classify_gl, enumerate_classes
 from plethykit.staircase import (
-    StaircaseDescriptor,
     corollary_I_family,
     main_family,
     main_square,
@@ -126,9 +125,7 @@ def _positive_descriptors():
                 for slack in range(0, 9 - sum(heights)):
                     if sum(heights) + slack == 0:
                         continue
-                    out.append(
-                        StaircaseDescriptor(tuple(zip(widths, heights)), slack)
-                    )
+                    out.append((widths, (*heights, slack)))
     return out
 
 
@@ -150,13 +147,13 @@ def _discovered_sl_pairs():
     return pairs
 
 
-def _fills_half_its_box(s: StaircaseDescriptor) -> bool:
+def _fills_half_its_box(s) -> bool:
     """Whether the staircase covers exactly half of its (d+1) x W box,
     W the width sum, counted cell by cell from the descriptor."""
-    widths = [w for w, _ in s.steps]
-    heights = [h for _, h in s.steps]
+    widths, heights_slack = s
+    heights = heights_slack[:-1]
     cells = sum(h * sum(widths[: len(widths) - i]) for i, h in enumerate(heights))
-    return 2 * cells == (sum(heights) + s.slack) * sum(widths)
+    return 2 * cells == sum(heights_slack) * sum(widths)
 
 
 def test_specialization_routes_agree():
@@ -300,7 +297,7 @@ def test_reversal_and_duality():
                 for slack in range(0, 9 - sum(heights)):
                     if sum(heights) + slack == 0:
                         continue
-                    s = StaircaseDescriptor(tuple(zip(widths, heights)), slack)
+                    s = (widths, (*heights, slack))
                     inst = to_instance(s)
                     pairs.setdefault((inst, to_instance(reverse(s))), s)
                     pairs.setdefault((inst, dual(inst)), s)

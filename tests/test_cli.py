@@ -306,11 +306,12 @@ FAMILY_MAIN = ("family", "main", "--x", "1", "--y", "1", "--u", "2", "--v", "1",
     [
         (cli, "sl_isomorphic", ConsistencyError, ("verify", SL_A, SL_B)),
         (staircase, "sl_isomorphic", ConsistencyError, FAMILY_MAIN),
+        (staircase, "to_instance", MemoryError, FAMILY_MAIN),
         (twist, "sl_isomorphic", ConsistencyError, ("twist", SL_A, SL_B)),
         (search, "p_poly", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
         (cli, "specialize_bialternant", InexactDivision, ("oracle-check", "--max-weight", "2", "--max-d", "2")),
     ],
-    ids=["verify", "family", "twist", "search", "oracle-check"],
+    ids=["verify", "family", "family-memory", "twist", "search", "oracle-check"],
 )
 def test_internal_failure_exits_3(monkeypatch, module, name, exc, args):
     # An internal failure is neither a "no" (1) nor invalid input (2).

@@ -52,7 +52,7 @@ def instance_pairs(draw):
 def test_instance_canonicalization_and_validation():
     assert SLInstance([2, 1, 0], 2).lam == (2, 1)
     assert PlethysmInstance((3, 0), (2, 1)).lam == (3,)
-    assert PlethysmInstance((2,), (4, 1)).d == 3
+    assert PlethysmInstance((2,), (4, 1)).sl_instance().d == 3
     with pytest.raises(LengthExceedsDimension):
         SLInstance((1, 1), 0)
     with pytest.raises(LengthExceedsDimension):

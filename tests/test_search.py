@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from plethykit import search
@@ -10,6 +12,8 @@ from plethykit.qpoly import QPolynomial
 from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
 from plethykit.twist import solve_twist
+
+from .test_cli import run
 
 
 def test_enumerate_classes_small_frozen():
@@ -91,6 +95,19 @@ def test_enumeration_budget(monkeypatch):
 
 def test_enumeration_is_deterministic():
     assert enumerate_classes(4, 4) == enumerate_classes(4, 4)
+
+
+def test_search_stdout_is_pinned_at_16_14():
+    # The digest perfbench/make_references.py recorded for this command
+    # line in perfbench/references.json; search stdout has stayed
+    # byte-identical to it since.
+    result = run("search", "--max-weight", "16", "--max-d", "14")
+    assert result.exit_code == 0
+    assert result.stdout.count("\n") == 1056
+    assert (
+        hashlib.sha256(result.stdout.encode()).hexdigest()
+        == "d12819789417c22f6e3d7d4629970895e707f13813500a0eba151b016697b502"
+    )
 
 
 def test_classify_gl_small_frozen():

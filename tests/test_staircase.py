@@ -9,7 +9,6 @@ from plethykit.errors import EmptyDiagram
 from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, dual, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
-    StaircaseDescriptor,
     corollary_I_family,
     corollary_II_family,
     main_family,
@@ -27,44 +26,47 @@ ENTRY = st.integers(0, 3)
 @st.composite
 def descriptors(draw, max_steps=4, positive=False):
     lo = 1 if positive else 0
-    steps = draw(
-        st.lists(st.tuples(st.integers(lo, 4), st.integers(lo, 3)), max_size=max_steps)
-    )
+    widths = draw(st.lists(st.integers(lo, 4), max_size=max_steps))
+    heights = draw(st.lists(st.integers(lo, 3), min_size=len(widths), max_size=len(widths)))
     slack = draw(st.integers(0, 3))
-    return StaircaseDescriptor(tuple(steps), slack)
+    return tuple(widths), (*heights, slack)
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        StaircaseDescriptor(((-1, 2),), 0)
-    with pytest.raises(ValueError):
-        StaircaseDescriptor(((1, 2),), -1)
+    # heights_slack must be exactly one entry longer than widths
+    for heights_slack in ((2,), (2, 1, 1)):
+        with pytest.raises(ValueError, match="one more height"):
+            to_instance(((1,), heights_slack))
+    # Each descriptor below would otherwise pass as a valid instance:
+    # a negative width under a zero height, a negative slack under zero
+    # widths, a negative height that only shortens a block.
+    for s in (((2, -1), (1, 0, 1)), ((0,), (3, -1)), ((1, 1), (2, -1, 1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            to_instance(s)
 
 
 def test_to_instance_known_values():
     # Single step: a (width w, height h) rectangle with slack extra dimension.
-    assert to_instance(StaircaseDescriptor(((2, 1),), 3)) == SLInstance((2,), 3)
-    assert to_instance(StaircaseDescriptor(((2, 3),), 1)) == SLInstance((2, 2, 2), 3)
+    assert to_instance(((2,), (1, 3))) == SLInstance((2,), 3)
+    assert to_instance(((2,), (3, 1))) == SLInstance((2, 2, 2), 3)
     # Three steps: widths accumulate bottom-up, heights read top-down.
-    assert to_instance(StaircaseDescriptor(((3, 2), (2, 4), (4, 4)), 0)) == SLInstance(
+    assert to_instance(((3, 2, 4), (2, 4, 4, 0))) == SLInstance(
         (9, 9, 5, 5, 5, 5, 3, 3, 3, 3), 9
     )
     # No steps: the empty partition in dimension slack.
-    assert to_instance(StaircaseDescriptor((), 4)) == SLInstance((), 3)
+    assert to_instance(((), (4,))) == SLInstance((), 3)
     # Zero-width steps merge blocks; zero-height steps drop rows.
-    assert to_instance(StaircaseDescriptor(((2, 1), (0, 2)), 1)) == SLInstance(
-        (2, 2, 2), 3
-    )
+    assert to_instance(((2, 0), (1, 2, 1))) == SLInstance((2, 2, 2), 3)
     with pytest.raises(EmptyDiagram):
-        to_instance(StaircaseDescriptor(((2, 0),), 0))
+        to_instance(((2,), (0, 0)))
 
 
 def test_reverse_known_values():
-    s = StaircaseDescriptor(((2, 1),), 3)
-    assert reverse(s) == StaircaseDescriptor(((2, 3),), 1)
+    s = ((2,), (1, 3))
+    assert reverse(s) == ((2,), (3, 1))
     assert to_instance(reverse(s)) == dual(to_instance(s))
-    t = StaircaseDescriptor(((3, 2), (2, 4), (4, 4)), 0)
-    assert reverse(t) == StaircaseDescriptor(((4, 0), (2, 4), (3, 4)), 2)
+    t = ((3, 2, 4), (2, 4, 4, 0))
+    assert reverse(t) == ((4, 2, 3), (0, 4, 4, 2))
 
 
 @given(descriptors())
@@ -76,7 +78,8 @@ def test_reverse_is_an_involution(s):
 def test_reverse_realizes_the_box_complement(s):
     # For positive step sizes the first row spans the full box width, so
     # reversing the descriptor is exactly complementation in the box.
-    assume(s.steps or s.slack)
+    widths, heights_slack = s
+    assume(widths or heights_slack[-1])
     inst = to_instance(s)
     rev = to_instance(reverse(s))
     assert rev == dual(inst)
@@ -85,8 +88,8 @@ def test_reverse_realizes_the_box_complement(s):
 
 def test_main_square_descriptors():
     a, b, c, d = main_square((1,), (1,), 2, 1, 1)
-    assert a == StaircaseDescriptor(((1, 1), (2, 1), (1, 1)), 1)
-    assert b == StaircaseDescriptor(((1, 1), (1, 1), (1, 2)), 1)
+    assert a == ((1, 2, 1), (1, 1, 1, 1))
+    assert b == ((1, 1, 1), (1, 1, 2, 1))
     assert c == reverse(a)
     assert d == reverse(b)
 
