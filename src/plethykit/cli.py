@@ -118,7 +118,7 @@ def search(args) -> int:
         raise UsageError(str(exc)) from exc
     for cls in classes:
         gl = {label: [list(pair) for pair in pairs] for label, pairs in classify_gl(cls).items()}
-        _emit({"P": cls.key.to_json(), "members": [inst.to_json() for inst in cls.members], "gl": gl})
+        _emit({"P": cls.poly.to_json(), "members": [inst.to_json() for inst in cls.members], "gl": gl})
     print(f"{len(classes)} classes", file=sys.stderr)
     return 0
 
@@ -210,7 +210,9 @@ cmd.set_defaults(run=oracle_check)
 def main(argv=None, prog_name="plethykit"):
     """Run the command named in argv (default: sys.argv[1:]) and exit
     with its code.  Usage messages always name the program plethykit;
-    prog_name is accepted and ignored, because perfbench/job.py passes it."""
+    prog_name is accepted and ignored, because perfbench/job.py passes it.
+    An internal failure's stderr line names the command line and the
+    innermost frame, since the exception alone may carry no message."""
     args = parser.parse_args(argv)
     try:
         code = args.run(args)
@@ -218,7 +220,13 @@ def main(argv=None, prog_name="plethykit"):
         parser.error(str(exc))
     except Exception as exc:  # never reported as a "no" (exit 1)
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Imported here, so that runs that do not fail never load them.
+        import shlex
+        import traceback
+
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{shlex.join(sys.argv[1:] if argv is None else argv)}; at {at.filename}:{at.lineno} in {at.name}"
+        print(f"internal error: {type(exc).__name__}: {exc} (in plethykit {where})", file=sys.stderr)
         code = 3
     sys.exit(code)
 

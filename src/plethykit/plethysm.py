@@ -44,7 +44,7 @@ class SLInstance:
             )
 
     @cached_property
-    def key(self) -> frozenset[tuple[int, int]]:
+    def key(self) -> tuple[int, ...]:
         """``sl_key(lam, d)``, built on first use and kept on the instance."""
         return sl_key(self.lam, self.d)
 

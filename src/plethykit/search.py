@@ -1,19 +1,19 @@
 """Bounded enumeration of SL-equivalence classes of plethysm instances.
 
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
-<= max_d are grouped by their ``sl_key``, the complete SL-isomorphism
-invariant; the class's P polynomial is the key's printed form and is
-expanded once per reported class.  Classes with at least two members
-are reported, and each member pair is labelled, in O(1) from its
-weights and degrees, by how (or whether) the SL-isomorphism upgrades
-to a GL one.
+<= max_d are grouped by ``SLInstance.key``, the complete SL-isomorphism
+invariant that ``sl_isomorphic`` compares; the class's P polynomial is
+the key's printed form and is expanded once per reported class.
+Classes with at least two members are reported, and each member pair
+is labelled, in O(1) from its weights and degrees, by how (or whether)
+the SL-isomorphism upgrades to a GL one.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
-from .hookcontent import p_poly, sl_key
+from .hookcontent import p_poly
 from .partition import partitions_of, weight
 from .plethysm import SLInstance
 from .qpoly import QPolynomial
@@ -24,18 +24,18 @@ INSTANCE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class EquivalenceClass:
-    """All enumerated instances sharing one ``sl_key``; ``key`` is the
-    P polynomial they share, the key's printed form.
+    """All enumerated instances grouped by one ``SLInstance.key``;
+    ``poly`` is the P polynomial they share, the key's printed form.
 
     Members are ordered by d, then lexicographically by partition.
     """
 
-    key: QPolynomial
+    poly: QPolynomial
     members: tuple[SLInstance, ...]
 
 
 def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
-    """Group all normalized instances within the bounds by ``sl_key``.
+    """Group all normalized instances within the bounds by ``SLInstance.key``.
 
     Only classes with two or more members are returned, each with its P
     polynomial expanded once from its first member, sorted by P's degree
@@ -44,20 +44,21 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
     count = 0
-    groups: dict[frozenset, list[SLInstance]] = {}
+    groups: dict[tuple[int, ...], list[SLInstance]] = {}
     for d in range(1, max_d + 1):
         for n in range(1, max_weight + 1):
             for lam in partitions_of(n, d):
                 count += 1
                 if count > INSTANCE_CAP:
                     raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")
-                groups.setdefault(sl_key(lam, d), []).append(SLInstance(lam, d))
+                inst = SLInstance(lam, d)
+                groups.setdefault(inst.key, []).append(inst)
     classes = []
     for members in groups.values():
         if len(members) >= 2:
             members.sort(key=lambda i: (i.d, i.lam))
             classes.append(EquivalenceClass(p_poly(members[0].lam, members[0].d), tuple(members)))
-    classes.sort(key=lambda c: (c.key.degree, c.key.coefficients))
+    classes.sort(key=lambda c: (c.poly.degree, c.poly.coefficients))
     return classes
 
 

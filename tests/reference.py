@@ -8,7 +8,8 @@ plethykit against.  The package itself calls none of them.
   ``sl_key`` reads off the row blocks instead.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
   and ``per_cell_key``, the net q-integer exponents they give, the
-  reference for the block-wise ``sl_key``.
+  reference for the block-wise ``sl_key``; ``key_pairs`` checks that a
+  key is in ``sl_key``'s canonical form and reads its pairs back.
 * ``CharacterData`` and ``character_data``: the full GL(2) character,
   the slow path for ``gl_isomorphic``.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
@@ -120,6 +121,17 @@ def per_cell_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
     net = Counter(d + 1 + content(p, u) for u in cells(p))
     net.subtract(hook_length(p, u) for u in cells(p))
     return frozenset((n, c) for n, c in net.items() if c)
+
+
+def key_pairs(key: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The pairs (n, c_n) of an ``sl_key``, after checking its canonical
+    form: (n_1, c_1, n_2, c_2, ...) with n strictly increasing and no
+    zero count."""
+    assert isinstance(key, tuple) and len(key) % 2 == 0, key
+    ns, counts = key[::2], key[1::2]
+    assert all(a < b for a, b in zip(ns, ns[1:])), key
+    assert all(counts), key
+    return frozenset(zip(ns, counts))
 
 
 @dataclass(frozen=True)

@@ -337,7 +337,7 @@ def test_twist_solver_resolves_the_bounded_search():
 
     for c in _classes_6_5():
         labels = classify_gl(c)
-        assert labels["unresolved"] == [], (c.key, labels)
+        assert labels["unresolved"] == [], (c.poly, labels)
         for i, j in labels["twistable"]:
             found = solve_twist(c.members[i], c.members[j], 50)
             assert found is not None and verify_twist(c.members[i], c.members[j], found)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 from typing import NamedTuple
 
 import pytest
@@ -319,7 +320,12 @@ def test_internal_failure_exits_3(monkeypatch, module, name, exc, args):
     result = run(*args)
     assert result.exit_code == 3
     assert lines(result) == [{"error": exc.__name__, "message": "injected"}]
-    assert result.stderr == f"internal error: {exc.__name__}: injected\n"
+    # stderr names the command line and the innermost frame, here the
+    # injected ``fail`` below.
+    prefix = f"internal error: {exc.__name__}: injected (in plethykit {shlex.join(args)}; at {__file__}:"
+    assert result.stderr.startswith(prefix), result.stderr
+    assert result.stderr.endswith(" in fail)\n")
+    assert result.stderr.count("\n") == 1
 
 
 def test_search_budget_is_invalid_input(monkeypatch):

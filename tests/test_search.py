@@ -1,12 +1,13 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
-from plethykit import search
+from plethykit import plethysm, search
 from plethykit.errors import BudgetExceeded
-from plethykit.hookcontent import p_poly
+from plethykit.hookcontent import p_poly, sl_key
 from plethykit.oracle import specialize_ssyt
-from plethykit.partition import b_statistic, weight
+from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, dual, normalize
 from plethykit.qpoly import QPolynomial
 from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
@@ -18,7 +19,7 @@ from .test_cli import run
 
 def test_enumerate_classes_small_frozen():
     classes = enumerate_classes(3, 3)
-    assert [list(c.key.coefficients) for c in classes] == [
+    assert [list(c.poly.coefficients) for c in classes] == [
         [1, 1, 1],
         [1, 1, 1, 1],
         [1, 1, 2, 1, 1],
@@ -34,7 +35,7 @@ def test_enumerate_classes_small_frozen():
 
 def test_enumerate_classes_picks_up_column_padded_members():
     classes = enumerate_classes(4, 3)
-    keyed = {c.key.coefficients: c for c in classes}
+    keyed = {c.poly.coefficients: c for c in classes}
     witness = keyed[(1, 1, 2, 1, 1)]
     assert [(i.lam, i.d) for i in witness.members] == [
         ((2,), 2),
@@ -47,21 +48,21 @@ def test_enumerate_classes_picks_up_column_padded_members():
 def test_class_invariants(bounds):
     max_weight, max_d = bounds
     classes = enumerate_classes(max_weight, max_d)
-    seen_keys = []
+    seen_polys = []
     for c in classes:
         assert len(c.members) >= 2
-        assert c.key.coefficients[0] == 1
-        assert c.key.coefficients == c.key.coefficients[::-1]
+        assert c.poly.coefficients[0] == 1
+        assert c.poly.coefficients == c.poly.coefficients[::-1]
         for inst in c.members:
             assert 1 <= weight(inst.lam) <= max_weight
             assert 1 <= inst.d <= max_d
             assert len(inst.lam) <= inst.d  # members are normalized
-            assert p_poly(inst.lam, inst.d) == c.key
+            assert p_poly(inst.lam, inst.d) == c.poly
         assert list(c.members) == sorted(c.members, key=lambda i: (i.d, i.lam))
         assert pairwise_sl_isomorphic(list(c.members))
-        seen_keys.append((c.key.degree, c.key.coefficients))
-    assert seen_keys == sorted(seen_keys)
-    assert len(set(seen_keys)) == len(seen_keys)
+        seen_polys.append((c.poly.degree, c.poly.coefficients))
+    assert seen_polys == sorted(seen_polys)
+    assert len(set(seen_polys)) == len(seen_polys)
 
 
 def test_classes_are_closed_under_duality():
@@ -78,7 +79,7 @@ def test_classes_are_closed_under_duality():
 def test_grouping_key_matches_the_tableau_oracle():
     for c in enumerate_classes(3, 3):
         for inst in c.members:
-            assert specialize_ssyt(inst.lam, inst.d) == c.key.shifted(
+            assert specialize_ssyt(inst.lam, inst.d) == c.poly.shifted(
                 b_statistic(inst.lam)
             )
 
@@ -91,6 +92,35 @@ def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(search, "INSTANCE_CAP", 13)
     with pytest.raises(BudgetExceeded):
         enumerate_classes(3, 3)
+
+
+def test_instances_are_grouped_by_their_own_key(monkeypatch):
+    # One key path: each enumerated instance builds its key once, through
+    # SLInstance.key, the key sl_isomorphic compares.
+    built = []
+
+    def counting_sl_key(p, d):
+        built.append((p, d))
+        return sl_key(p, d)
+
+    monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
+    enumerate_classes(6, 5)
+    instances = [(lam, d) for d in range(1, 6) for n in range(1, 7) for lam in partitions_of(n, d)]
+    assert sorted(built) == sorted(instances)
+
+
+def test_enumeration_memory_stays_small():
+    # Every enumerated instance keeps its key until the classes are built,
+    # so the key's container bounds how far search can go.  The flat-tuple
+    # key peaks at about 1.2 MiB here, a frozenset of pairs at about 2.4.
+    p_poly.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_classes(12, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 def test_enumeration_is_deterministic():
@@ -150,6 +180,6 @@ def test_classify_gl_labels_without_a_search_bound():
     # The witness pair needs l and m up to 2, so a zero-bound scan finds
     # nothing, yet the pair is labelled twistable from its weights alone.
     a, b = SLInstance((2,), 2), SLInstance((1, 1), 3)
-    c = EquivalenceClass(key=QPolynomial([1, 1, 2, 1, 1]), members=(a, b))
+    c = EquivalenceClass(poly=QPolynomial([1, 1, 2, 1, 1]), members=(a, b))
     assert solve_twist(a, b, 0) is None
     assert classify_gl(c)["twistable"] == [(0, 1)]
