@@ -19,7 +19,6 @@ from .hookcontent import p_poly
 from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
-from .qpoly import QPolynomial
 from .search import classify_gl, enumerate_classes
 from .staircase import (
     corollary_I_family,
@@ -118,7 +117,7 @@ def search(args) -> int:
         raise UsageError(str(exc)) from exc
     for cls in classes:
         gl = {label: [list(pair) for pair in pairs] for label, pairs in classify_gl(cls).items()}
-        _emit({"P": cls.poly.to_json(), "members": [inst.to_json() for inst in cls.members], "gl": gl})
+        _emit({"P": [str(c) for c in cls.poly], "members": [inst.to_json() for inst in cls.members], "gl": gl})
     print(f"{len(classes)} classes", file=sys.stderr)
     return 0
 
@@ -131,11 +130,11 @@ def oracle_check(args) -> int:
         for lam in partitions_of(n, n):
             memo = {}  # the shapes of (lam, d) recur in (lam, d + 1), never in another lam
             for d in range(len(lam) - 1, args.max_d + 1):
-                expected = p_poly(lam, d).shifted(b_statistic(lam))
-                if args.inject_fault:
-                    coeffs = [*expected.coefficients, 0]
+                expected = (0,) * b_statistic(lam) + p_poly(lam, d)
+                if args.inject_fault:  # expected + q, the pad kept only if q is the new top
+                    coeffs = [*expected, 0]
                     coeffs[1] += 1
-                    expected = QPolynomial(coeffs)
+                    expected = tuple(coeffs[: max(2, len(expected))])
                 routes = {
                     "bialternant": specialize_bialternant(lam, d),
                     "tableau": specialize_ssyt(lam, d, memo),
@@ -144,7 +143,7 @@ def oracle_check(args) -> int:
                 values = list(routes.values())
                 odd = [name for name, f in routes.items() if values.count(f) == 1]
                 if odd:
-                    routes = {name: f.to_json() for name, f in routes.items()}
+                    routes = {name: [str(c) for c in f] for name, f in routes.items()}
                     _emit({"agree": False, "lambda": list(lam), "d": d, "routes": routes})
                     verb = "differs" if len(odd) == 1 else "differ"
                     print(

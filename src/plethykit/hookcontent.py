@@ -17,6 +17,10 @@ count or with d.  Instances are compared and grouped by their keys,
 read through ``SLInstance.key``; ``p_poly`` is the key's printed form,
 expanded only where a polynomial is shown or compared as one.
 
+A polynomial in q is a plain tuple of ints indexed by exponent, with no
+trailing zero, so () is zero and (1,) is one: equal polynomials are
+equal tuples, and nothing here touches floating point.
+
 The expansion goes through the (1 - q^n) factorization: multiplying by
 (1 - q^a) and dividing by (1 - q^b) are both single passes over the
 coefficient array, which keeps the large staircase instances cheap.
@@ -27,7 +31,6 @@ from itertools import accumulate, chain
 
 from .errors import InexactDivision, LengthExceedsDimension
 from .partition import Partition
-from .qpoly import QPolynomial
 
 
 def _times_one_minus(f: list[int], a: int) -> list[int]:
@@ -135,9 +138,10 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8192)
-def p_poly(p: Partition, d: int) -> QPolynomial:
+def p_poly(p: Partition, d: int) -> tuple[int, ...]:
     """P^d_p = C^d_p / H_p as an exact integer polynomial, the expansion
-    of sl_key(p, d).
+    of sl_key(p, d): its coefficient tuple, indexed by exponent, ending
+    in the leading coefficient.
 
     All multiplications by (1 - q^n) happen before any division, each
     group in increasing n, so every intermediate division stays exact.
@@ -150,4 +154,4 @@ def p_poly(p: Partition, d: int) -> QPolynomial:
         step = _times_one_minus if c > 0 else _over_one_minus
         for _ in range(abs(c)):
             f = step(f, n)
-    return QPolynomial(f)
+    return tuple(f)

@@ -1,7 +1,8 @@
 """Two independent brute-force routes to s_lambda(1, q, ..., q^d).
 
 Both are ground-truth checks for the hook-content pipeline and share no
-code with it:
+code with it.  Each returns the coefficient tuple, indexed by exponent
+and with no trailing zero, that ``hookcontent.p_poly`` returns:
 
 * ``specialize_bialternant`` evaluates the ratio of alternant
   determinants det(x_j^{lambda_i + k - i}) / det(x_j^{k - i}) at
@@ -37,7 +38,6 @@ from itertools import product
 
 from .errors import ConsistencyError, InexactDivision, LengthExceedsDimension
 from .partition import Partition, weight
-from .qpoly import QPolynomial
 
 
 def _vandermonde(nodes: list[int]) -> int:
@@ -49,7 +49,7 @@ def _vandermonde(nodes: list[int]) -> int:
     return det
 
 
-def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
+def specialize_bialternant(p: Partition, d: int) -> tuple[int, ...]:
     """s_p(1, q, ..., q^d) via the alternant determinant ratio.
 
     Both alternants are Vandermonde determinants in the packed powers of
@@ -77,7 +77,7 @@ def specialize_bialternant(p: Partition, d: int) -> QPolynomial:
     while quotient:
         quotient, digit = divmod(quotient, 1 << bits)
         coeffs.append(digit)
-    return QPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def _schur(lam: tuple[int, ...], memo: dict) -> list[int]:
@@ -101,7 +101,7 @@ def _schur(lam: tuple[int, ...], memo: dict) -> list[int]:
     return coeffs
 
 
-def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> QPolynomial:
+def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> tuple[int, ...]:
     """s_p(1, q, ..., q^d) by the branching rule over semistandard tableaux.
 
     memo maps zero-padded shapes to their coefficient lists.  Pass one
@@ -113,4 +113,4 @@ def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> QPolynomi
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     padded = tuple(p) + (0,) * (d + 1 - len(p))
-    return QPolynomial(_schur(padded, {} if memo is None else memo))
+    return tuple(_schur(padded, {} if memo is None else memo))

@@ -2,8 +2,9 @@
 
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
 <= max_d are grouped by ``SLInstance.key``, the complete SL-isomorphism
-invariant that ``sl_isomorphic`` compares; the class's P polynomial is
-the key's printed form and is expanded once per reported class.
+invariant that ``sl_isomorphic`` compares; the class's P polynomial,
+a coefficient tuple as ``p_poly`` returns it, is the key's printed form
+and is expanded once per reported class.
 Classes with at least two members are reported, and each member pair
 is labelled, in O(1) from its weights and degrees, by how (or whether)
 the SL-isomorphism upgrades to a GL one.
@@ -16,7 +17,6 @@ from .errors import BudgetExceeded
 from .hookcontent import p_poly
 from .partition import partitions_of, weight
 from .plethysm import SLInstance
-from .qpoly import QPolynomial
 from .twist import nu2_obstruction
 
 INSTANCE_CAP = 1_000_000
@@ -30,7 +30,7 @@ class EquivalenceClass:
     Members are ordered by d, then lexicographically by partition.
     """
 
-    poly: QPolynomial
+    poly: tuple[int, ...]
     members: tuple[SLInstance, ...]
 
 
@@ -38,8 +38,8 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     """Group all normalized instances within the bounds by ``SLInstance.key``.
 
     Only classes with two or more members are returned, each with its P
-    polynomial expanded once from its first member, sorted by P's degree
-    and then lexicographically by P's coefficients.
+    polynomial expanded once from its first member, sorted by P's length
+    (its degree plus one) and then lexicographically by P's coefficients.
 
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
@@ -58,7 +58,7 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
         if len(members) >= 2:
             members.sort(key=lambda i: (i.d, i.lam))
             classes.append(EquivalenceClass(p_poly(members[0].lam, members[0].d), tuple(members)))
-    classes.sort(key=lambda c: (c.poly.degree, c.poly.coefficients))
+    classes.sort(key=lambda c: (len(c.poly), c.poly))
     return classes
 
 

@@ -10,7 +10,8 @@ SL-isomorphic to it.
 
 The four-member ``main_family`` square and the two six-member corollary
 families below are staircase configurations that are pairwise
-SL-isomorphic for every choice of nonnegative parameters.
+SL-isomorphic for every choice of nonnegative parameters.  Each
+corollary family is two main squares glued along two shared members.
 """
 
 from itertools import accumulate
@@ -89,39 +90,44 @@ def _check_family_params(s: int, u: int, v: int, z: int) -> None:
         raise ValueError(f"u, v, z must be positive, got {(u, v, z)}")
 
 
+def _glue(one, two) -> list[SLInstance]:
+    """The instances of A1, B1, C2, A2, B2, C1: the union of two main
+    squares (A1, B1, C1, D1) and (A2, B2, C2, D2) glued along B1 == D2
+    and B2 == D1, so one SL-isomorphism class of six members."""
+    (a1, b1, c1, _), (a2, b2, c2, _) = one, two
+    return [to_instance(desc) for desc in (a1, b1, c2, a2, b2, c1)]
+
+
 def corollary_I_family(s: int, u: int, v: int, z: int) -> list[SLInstance]:
     """Six pairwise SL-isomorphic staircases; at s = 0 these are the six
     rectangle instances (a^b) with d = b + c - 1 over all permutations
-    (a, b, c) of (u, v, z)."""
+    (a, b, c) of (u, v, z).
+
+    The family glues the main squares of ((z,)*s, (v,)*s, v, u, z) and
+    of ((v,)*s, (z,)*s, z, u, v), the second being the first with v and
+    z swapped.
+    """
     _check_family_params(s, u, v, z)
-    out = []
-    for zz, vv in ((z, v), (v, z)):
-        out.extend(
-            to_instance(desc)
-            for desc in (
-                ((zz,) * s + (vv,) * (s + 1), (zz,) * (s + 1) + (u,) + (vv,) * s),
-                ((zz,) * s + (u,) + (vv,) * s, (zz,) * (s + 1) + (vv,) * (s + 1)),
-                ((zz,) * (s + 1) + (vv,) * s, (zz,) * s + (u,) + (vv,) * (s + 1)),
-            )
-        )
-    return out
+    return _glue(
+        main_square((z,) * s, (v,) * s, v, u, z),
+        main_square((v,) * s, (z,) * s, z, u, v),
+    )
 
 
 def corollary_II_family(s: int, u: int, v: int, z: int) -> list[SLInstance]:
     """Six pairwise SL-isomorphic two-block staircases, the thickened
-    variant of corollary family I."""
+    variant of corollary family I.
+
+    The family glues the main squares of ((z,)*s, (v,)*(s+1), u, z, z)
+    and of ((v,)*s, (z,)*(s+1), u, v, v), the second being the first
+    with v and z swapped.  Their x and y differ in length by one, which
+    ``main_square`` accepts and ``main_family`` does not.
+    """
     _check_family_params(s, u, v, z)
-    out = []
-    for zz, vv in ((z, v), (v, z)):
-        out.extend(
-            to_instance(desc)
-            for desc in (
-                ((zz,) * s + (u,) + (vv,) * (s + 1), (zz,) * (s + 2) + (vv,) * (s + 1)),
-                ((zz,) * (s + 1) + (vv,) * (s + 1), (zz,) * (s + 1) + (u,) + (vv,) * (s + 1)),
-                ((zz,) * (s + 1) + (u,) + (vv,) * s, (zz,) * (s + 1) + (vv,) * (s + 2)),
-            )
-        )
-    return out
+    return _glue(
+        main_square((z,) * s, (v,) * (s + 1), u, z, z),
+        main_square((v,) * s, (z,) * (s + 1), u, v, v),
+    )
 
 
 def pairwise_sl_isomorphic(instances: list[SLInstance]) -> bool:

@@ -2,8 +2,10 @@
 plethykit against.  The package itself calls none of them.
 
 * ``mul``, ``exact_div``, ``q_analog`` and ``ONE``: schoolbook ring
-  operations on ``QPolynomial``, the product/quotient reference for
-  ``p_poly`` (which works through (1 - q^n) passes instead).
+  operations on coefficient tuples, the product/quotient reference for
+  ``p_poly`` (which works through (1 - q^n) passes instead);
+  ``trim`` drops trailing zeros, and ``canonical_poly`` checks that a
+  polynomial the package returns is in that form.
 * ``conjugate``: the transposed diagram, which the block-wise
   ``sl_key`` reads off the row blocks instead.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
@@ -25,66 +27,83 @@ from plethykit.errors import InexactDivision
 from plethykit.hookcontent import p_poly
 from plethykit.partition import Partition, b_statistic, weight
 from plethykit.plethysm import PlethysmInstance, SLInstance
-from plethykit.qpoly import QPolynomial
 
 Cell = tuple[int, int]
+Poly = tuple[int, ...]
 
-ONE = QPolynomial([1])
+ONE: Poly = (1,)
 
 
-def q_analog(a: int) -> QPolynomial:
+def trim(coeffs) -> Poly:
+    """The coefficients as a polynomial tuple, trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def canonical_poly(f: Poly) -> Poly:
+    """f, after checking that it is a polynomial as the package returns
+    one: a tuple of ints (no bools), indexed by exponent, with no
+    trailing zero, so () is the zero polynomial."""
+    assert isinstance(f, tuple), f
+    assert all(type(c) is int for c in f), f
+    assert not f or f[-1] != 0, f
+    return f
+
+
+def q_analog(a: int) -> Poly:
     """[a] = 1 + q + ... + q^(a-1).
 
     Raises ValueError unless a is an integer >= 1.
     """
     if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValueError(f"[a] requires a positive integer, got {a!r}")
-    return QPolynomial([1] * a)
+    return (1,) * a
 
 
-def mul(f: QPolynomial, g: QPolynomial) -> QPolynomial:
-    """The product f * g, coefficient by coefficient."""
-    a, b = f.coefficients, g.coefficients
+def mul(a: Poly, b: Poly) -> Poly:
+    """The product a * b, coefficient by coefficient."""
     if not a or not b:
-        return QPolynomial()
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return QPolynomial(out)
+    return tuple(out)
 
 
-def exact_div(f: QPolynomial, divisor: QPolynomial) -> QPolynomial:
-    """The exact quotient f / divisor over the integers, by long division.
+def exact_div(f: Poly, div: Poly) -> Poly:
+    """The exact quotient f / div over the integers, by long division;
+    like ``mul``, it keeps canonical inputs canonical.
 
     Raises InexactDivision if the division leaves a remainder or would
     need a non-integer coefficient, and ZeroDivisionError when dividing
     by zero.
     """
-    if not divisor:
+    if not div:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
-        return QPolynomial()
-    rem = list(f.coefficients)
-    div = divisor.coefficients
+        return ()
+    rem = list(f)
     lead = div[-1]
     qdeg = len(rem) - len(div)
     if qdeg < 0:
-        raise InexactDivision(f"{f!r} is not divisible by {divisor!r}")
+        raise InexactDivision(f"{f!r} is not divisible by {div!r}")
     quot = [0] * (qdeg + 1)
     for i in range(qdeg, -1, -1):
         top = rem[i + len(div) - 1]
         if top % lead:
-            raise InexactDivision(f"{f!r} is not divisible by {divisor!r}")
+            raise InexactDivision(f"{f!r} is not divisible by {div!r}")
         quot[i] = top // lead
         if quot[i]:
             for j, c in enumerate(div):
                 rem[i + j] -= quot[i] * c
     if any(rem):
-        raise InexactDivision(f"{f!r} is not divisible by {divisor!r}")
-    return QPolynomial(quot)
+        raise InexactDivision(f"{f!r} is not divisible by {div!r}")
+    return tuple(quot)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -140,13 +159,13 @@ class CharacterData:
 
     weight_exponents: tuple[int, int]
     b_shift: int
-    p: QPolynomial
+    p: Poly
 
     def monomials(self) -> dict[tuple[int, int], int]:
         """Expand to {(x1 exponent, x2 exponent): coefficient}."""
         e1, e2 = self.weight_exponents
         out = {}
-        for i, c in enumerate(self.p.coefficients):
+        for i, c in enumerate(self.p):
             if c:
                 out[(e1 - self.b_shift - i, e2 + self.b_shift + i)] = c
         return out

@@ -34,7 +34,7 @@ from plethykit.staircase import (
 )
 from plethykit.twist import TwistSolution, solve_twist, verify_twist
 
-from .reference import main_gl_condition, minimal_lift
+from .reference import canonical_poly, main_gl_condition, minimal_lift
 
 
 def _compositions(total_max, parts, minimum):
@@ -164,9 +164,9 @@ def test_specialization_routes_agree():
     for n in range(0, 11):
         for lam in partitions_of(n, n if n else 1):
             for d in range(max(len(lam) - 1, 0), 11):
-                expected = p_poly(lam, d).shifted(b_statistic(lam))
-                assert specialize_bialternant(lam, d) == expected, (lam, d)
-                assert specialize_ssyt(lam, d) == expected, (lam, d)
+                expected = (0,) * b_statistic(lam) + canonical_poly(p_poly(lam, d))
+                assert canonical_poly(specialize_bialternant(lam, d)) == expected, (lam, d)
+                assert canonical_poly(specialize_ssyt(lam, d)) == expected, (lam, d)
                 checked += 1
     assert checked == 1130
     assert time.monotonic() - start < 60

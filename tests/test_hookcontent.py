@@ -11,6 +11,7 @@ from plethykit.plethysm import SLInstance, sl_isomorphic
 
 from .reference import (
     ONE,
+    canonical_poly,
     cells,
     conjugate,
     content,
@@ -89,21 +90,21 @@ def test_content_poly_known_values():
 def test_p_poly_known_values():
     assert p_poly((), 4) == ONE
     assert p_poly((1,), 3) == q_analog(4)
-    assert p_poly((2,), 3).coefficients == (1, 1, 2, 2, 2, 1, 1)
-    assert p_poly((1, 1), 3).coefficients == (1, 1, 2, 1, 1)
-    assert p_poly((2, 1), 1).coefficients == (1, 1)
+    assert p_poly((2,), 3) == (1, 1, 2, 2, 2, 1, 1)
+    assert p_poly((1, 1), 3) == (1, 1, 2, 1, 1)
+    assert p_poly((2, 1), 1) == (1, 1)
     with pytest.raises(LengthExceedsDimension):
         p_poly((2, 2, 2), 1)
 
 
 def test_dimension_known_values():
     # P at q = 1 is dim S_p(C^{d+1}).
-    assert sum(p_poly((2,), 3).coefficients) == 10
-    assert sum(p_poly((1, 1), 3).coefficients) == 6
-    assert sum(p_poly((), 7).coefficients) == 1
-    assert sum(p_poly((1, 1, 1), 2).coefficients) == 1
+    assert sum(p_poly((2,), 3)) == 10
+    assert sum(p_poly((1, 1), 3)) == 6
+    assert sum(p_poly((), 7)) == 1
+    assert sum(p_poly((1, 1, 1), 2)) == 1
     for d in range(6):
-        assert sum(p_poly((1,), d).coefficients) == d + 1
+        assert sum(p_poly((1,), d)) == d + 1
 
 
 def test_single_rows_are_gaussian_binomials():
@@ -158,7 +159,7 @@ def test_sl_key_partitions_like_p_poly_exhaustively():
     by_key, by_poly = {}, {}
     for p, d in instances:
         by_key.setdefault(sl_key(p, d), set()).add((p, d))
-        by_poly.setdefault(p_poly(p, d), set()).add((p, d))
+        by_poly.setdefault(canonical_poly(p_poly(p, d)), set()).add((p, d))
     assert len(instances) == 2052
     assert len(by_key) == len(by_poly) == 1341
     classes = {frozenset(members) for members in by_key.values()}
@@ -224,10 +225,10 @@ def test_p_poly_shape_invariants(p, d):
     if len(p) > d + 1:
         return
     f = p_poly(p, d)
-    assert f.coefficients[0] == 1
-    assert f.coefficients == f.coefficients[::-1]
-    assert f.degree == weight(p) * d - 2 * b_statistic(p)
-    assert all(c > 0 for c in f.coefficients)
+    assert f[0] == 1
+    assert f == f[::-1]
+    assert len(f) - 1 == weight(p) * d - 2 * b_statistic(p)
+    assert all(c > 0 for c in f)
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))
@@ -247,16 +248,16 @@ def test_dimension_matches_weyl_formula():
                 for j in range(1, row + 1):
                     num *= d + 1 + (j - i)
                     den *= hook_length(p, (i, j))
-            assert sum(p_poly(p, d).coefficients) == num // den
+            assert sum(p_poly(p, d)) == num // den
             assert num % den == 0
 
 
 def test_degree_formula_known_values():
     # deg P^d_p = |p|*d - 2*b(p)
-    assert p_poly((2,), 3).degree == 6
-    assert p_poly((1, 1), 3).degree == 4
-    assert p_poly((2, 2), 2).degree == 4
-    assert p_poly((), 5).degree == 0
+    assert len(p_poly((2,), 3)) - 1 == 6
+    assert len(p_poly((1, 1), 3)) - 1 == 4
+    assert len(p_poly((2, 2), 2)) - 1 == 4
+    assert len(p_poly((), 5)) - 1 == 0
 
 
 @pytest.mark.parametrize(
@@ -284,9 +285,9 @@ def test_hook_content_handles_large_staircase_shapes():
     # A shape of the size the staircase families produce.
     p = (9, 9, 5, 5, 5, 5, 3, 3, 3, 3)
     f = p_poly(p, 9)
-    assert f.coefficients[0] == 1
-    assert f.coefficients == f.coefficients[::-1]
-    assert f.degree == weight(p) * 9 - 2 * b_statistic(p)
+    assert f[0] == 1
+    assert f == f[::-1]
+    assert len(f) - 1 == weight(p) * 9 - 2 * b_statistic(p)
     # Three row blocks of 15 rows (lengths 70, 45, 20), 2,025 cells.
     big = (70,) * 15 + (45,) * 15 + (20,) * 15
     assert weight(big) == 2025

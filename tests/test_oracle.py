@@ -9,9 +9,8 @@ from plethykit.errors import LengthExceedsDimension
 from plethykit.hookcontent import p_poly
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, complement, partitions_of, weight
-from plethykit.qpoly import QPolynomial
 
-from .reference import ONE, q_analog
+from .reference import ONE, canonical_poly, q_analog, trim
 from .test_partition import partitions
 
 
@@ -77,9 +76,9 @@ def test_bialternant_known_values():
     # s_(2)(1, q) = 1 + q + q^2
     assert specialize_bialternant((2,), 1) == q_analog(3)
     # s_(1,1)(1, q) = q
-    assert specialize_bialternant((1, 1), 1) == QPolynomial([0, 1])
+    assert specialize_bialternant((1, 1), 1) == (0, 1)
     # s_(2,2)(1, q) = q^2
-    assert specialize_bialternant((2, 2), 1) == QPolynomial([0, 0, 1])
+    assert specialize_bialternant((2, 2), 1) == (0, 0, 1)
     with pytest.raises(LengthExceedsDimension):
         specialize_bialternant((1, 1), 0)
 
@@ -87,9 +86,9 @@ def test_bialternant_known_values():
 def test_ssyt_known_values():
     assert specialize_ssyt((), 2) == ONE
     assert specialize_ssyt((1,), 2) == q_analog(3)
-    assert specialize_ssyt((2, 2), 1) == QPolynomial([0, 0, 1])
-    assert sum(specialize_ssyt((2,), 3).coefficients) == 10
-    assert sum(specialize_ssyt((1, 1, 1), 2).coefficients) == 1
+    assert specialize_ssyt((2, 2), 1) == (0, 0, 1)
+    assert sum(specialize_ssyt((2,), 3)) == 10
+    assert sum(specialize_ssyt((1, 1, 1), 2)) == 1
     with pytest.raises(LengthExceedsDimension):
         specialize_ssyt((1, 1), 0)
 
@@ -112,7 +111,7 @@ def _fillings_reference(p, d):
             fill(t + 1, exponent + val - 1)
 
     fill(0, 0)
-    return QPolynomial(coeffs)
+    return trim(coeffs)
 
 
 def test_routes_agree_exhaustively_small():
@@ -120,8 +119,8 @@ def test_routes_agree_exhaustively_small():
         for n in range(7):
             for p in partitions_of(n, d + 1):
                 reference = _fillings_reference(p, d)
-                assert specialize_bialternant(p, d) == reference, (p, d)
-                assert specialize_ssyt(p, d) == reference, (p, d)
+                assert canonical_poly(specialize_bialternant(p, d)) == reference, (p, d)
+                assert canonical_poly(specialize_ssyt(p, d)) == reference, (p, d)
 
 
 def test_shared_memo_matches_a_fresh_memo_for_every_d():
@@ -141,8 +140,8 @@ def test_ssyt_past_the_old_budget():
     # (6, 6) has 32,821,152 fillings with entries <= 13: too many to visit
     # one at a time, so the route must count them without enumerating.
     f = specialize_ssyt((6, 6), 12)
-    assert f == p_poly((6, 6), 12).shifted(b_statistic((6, 6)))
-    assert sum(f.coefficients) == 32_821_152
+    assert f == (0,) * b_statistic((6, 6)) + p_poly((6, 6), 12)
+    assert sum(f) == 32_821_152
 
 
 @settings(deadline=None)
@@ -153,15 +152,15 @@ def test_routes_agree_and_match_hook_content(p, d):
     direct = specialize_bialternant(p, d)
     assert direct == specialize_ssyt(p, d)
     # The specialization is q^b(p) times the hook-content polynomial.
-    assert direct == p_poly(p, d).shifted(b_statistic(p))
+    assert direct == (0,) * b_statistic(p) + p_poly(p, d)
 
 
 @given(partitions(max_weight=8, max_parts=4), st.integers(0, 5))
 def test_eval_at_one_counts_tableaux(p, d):
     if len(p) > d + 1:
         return
-    tableaux = sum(specialize_ssyt(p, d).coefficients)
-    assert sum(specialize_bialternant(p, d).coefficients) == tableaux
+    tableaux = sum(specialize_ssyt(p, d))
+    assert sum(specialize_bialternant(p, d)) == tableaux
 
 
 @given(partitions(max_weight=8, max_parts=4), st.integers(0, 5))
@@ -172,7 +171,7 @@ def test_complement_reverses_the_specialization(p, d):
     comp = complement(p, d + 1)
     f = specialize_bialternant(p, d)
     g = specialize_bialternant(comp, d)
-    assert QPolynomial(f.coefficients[::-1]).shifted(b_statistic(comp)) == g
+    assert (0,) * b_statistic(comp) + trim(f[::-1]) == g
 
 
 def test_bialternant_handles_wide_rows():
@@ -182,4 +181,4 @@ def test_bialternant_handles_wide_rows():
     g = specialize_ssyt((8,), 6)
     assert f == g
     # a single row of 8 cells with entries <= 7: C(8 + 6, 6) fillings
-    assert sum(f.coefficients) == comb(14, 6)
+    assert sum(f) == comb(14, 6)

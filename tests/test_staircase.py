@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from plethykit.staircase import (
 )
 
 from .reference import main_gl_condition, minimal_lift
+from .test_cli import run
 
 ENTRY = st.integers(0, 3)
 
@@ -258,6 +260,23 @@ def test_corollary_II_known_instance():
     # u appears symmetrically here because v == z, so the rows repeat.
     assert fam[5] == fam[2]
     assert gl_isomorphic(minimal_lift(fam[2]), minimal_lift(fam[5]))
+
+
+def test_corollary_family_stdout_is_pinned():
+    # The digest of ``family cor1`` and then ``family cor2`` stdout over
+    # s in 0..3 and u, v, z in 1..3: it pins every member of both
+    # families, and their order, however the families are built.
+    stdout = ""
+    for kind in ("cor1", "cor2"):
+        for s, u, v, z in product(range(4), range(1, 4), range(1, 4), range(1, 4)):
+            result = run("family", kind, "--s", str(s), "--u", str(u), "--v", str(v), "--z", str(z))
+            assert result.exit_code == 0, (kind, s, u, v, z)
+            stdout += result.stdout
+    assert stdout.count("\n") == 216
+    assert (
+        hashlib.sha256(stdout.encode()).hexdigest()
+        == "dd4dc8a737d59e247367aa53c42c9518955319ee3b5237733e4ec927bfe52976"
+    )
 
 
 @pytest.mark.parametrize("bad", [(-1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)])
