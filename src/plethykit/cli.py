@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceeded, EmptyDiagram, LengthExceedsDimension, NotSLIsomorphic
+from .errors import BudgetExceeded, ConsistencyError, EmptyDiagram, LengthExceedsDimension, NotSLIsomorphic
 from .hookcontent import p_poly
 from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
@@ -99,11 +99,12 @@ def twist(args) -> int:
         _emit({"found": False, "l": None, "m": None, "x": None, "y": None, "verified": False})
         print(f"no twist with l, m <= {args.bound}", file=sys.stderr)
         return 1
-    verified = verify_twist(a, b, solution)
-    _emit({"found": True, **solution._asdict(), "verified": verified})
+    # twist.py proves every solution a GL-isomorphism: a failed check is a bug
+    if not verify_twist(a, b, solution):
+        raise ConsistencyError(f"{solution} fails the GL check on {a} against {b}")
+    _emit({"found": True, **solution._asdict(), "verified": True})
     print(
-        f"twist l={solution.l} m={solution.m} x={solution.x} y={solution.y}, "
-        f"verification {'passed' if verified else 'FAILED'}",
+        f"twist l={solution.l} m={solution.m} x={solution.x} y={solution.y}, verification passed",
         file=sys.stderr,
     )
     return 0
@@ -126,9 +127,9 @@ def oracle_check(args) -> int:
     """Check bialternant, tableau, and hook-content routes against
     each other on every instance within the bounds."""
     checked = 0
+    memo = {}  # one tableau memo: shapes recur along each d loop and across partitions
     for n in range(1, args.max_weight + 1):
         for lam in partitions_of(n, n):
-            memo = {}  # the shapes of (lam, d) recur in (lam, d + 1), never in another lam
             for d in range(len(lam) - 1, args.max_d + 1):
                 expected = (0,) * b_statistic(lam) + p_poly(lam, d)
                 if args.inject_fault:  # expected + q, the pad kept only if q is the new top

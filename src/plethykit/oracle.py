@@ -105,8 +105,8 @@ def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> tuple[int
     """s_p(1, q, ..., q^d) by the branching rule over semistandard tableaux.
 
     memo maps zero-padded shapes to their coefficient lists.  Pass one
-    dict to every call for the same p (any d) to expand each shape once;
-    by default each call starts a fresh one.
+    dict to every call (any p, any d) to expand each shape once; by
+    default each call starts a fresh one.
 
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """

@@ -1,12 +1,10 @@
-"""Integer partitions: box complements, tilde reduction and enumeration.
+"""Integer partitions: canonical form, statistics and enumeration.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.
 """
 
 from collections.abc import Iterable, Iterator
-
-from .errors import LengthExceedsDimension
 
 Partition = tuple[int, ...]
 
@@ -34,39 +32,6 @@ def canonical(parts: Iterable[int]) -> Partition:
 def weight(p: Partition) -> int:
     """|p|, the sum of all parts."""
     return sum(p)
-
-
-def complement(p: Partition, k: int) -> Partition:
-    """The complement of the diagram of p inside a k x p[0] rectangle.
-
-    With parts zero-padded to length k, the complement reads
-    (p[0]-p[k-1], ..., p[0]-p[1]) and is returned in canonical form.
-
-    Raises LengthExceedsDimension if p has more than k parts.
-    """
-    if len(p) > k:
-        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
-    if not p:
-        return ()
-    padded = p + (0,) * (k - len(p))
-    return canonical(p[0] - padded[i] for i in range(k - 1, 0, -1))
-
-
-def tilde_reduce(p: Partition, k: int) -> tuple[Partition, int]:
-    """Subtract the k-th (zero-padded) part from every part of p.
-
-    Returns the reduced partition together with the subtracted amount,
-    e.g. ((4,3,2), k=3) -> ((2,1), 2).  The reduced partition has fewer
-    than k parts.
-
-    Raises LengthExceedsDimension if p has more than k parts.
-    """
-    if len(p) > k:
-        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
-    if len(p) < k or k == 0:
-        return p, 0
-    shift = p[-1]
-    return canonical(part - shift for part in p), shift
 
 
 def add(p: Partition, r: Partition) -> Partition:

@@ -7,13 +7,12 @@ without expanding P, and GL-isomorphic when in addition the total
 weights |delta|*|lam| match.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError, LengthExceedsDimension
 from .hookcontent import sl_key
-from .partition import Partition, canonical, complement, tilde_reduce, weight
+from .partition import Partition, canonical, weight
 
 
 def _require_int(name: str, value) -> None:
@@ -64,7 +63,8 @@ class PlethysmInstance:
 
     lam: Partition
     delta: tuple[int, int]
-    _sl: SLInstance = field(init=False, repr=False, compare=False)
+    # The (lam, d) instance, built once here so its key is built at most once.
+    sl: SLInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(self.delta))
@@ -78,12 +78,7 @@ class PlethysmInstance:
         # SLInstance parses lam and checks its length against d
         sl = SLInstance(self.lam, d1 - d2)
         object.__setattr__(self, "lam", sl.lam)
-        object.__setattr__(self, "_sl", sl)
-
-    def sl_instance(self) -> SLInstance:
-        """The (lam, d) instance built at construction, so its key is
-        built at most once."""
-        return self._sl
+        object.__setattr__(self, "sl", sl)
 
     @classmethod
     def from_json(cls, obj) -> "PlethysmInstance":
@@ -112,21 +107,4 @@ def gl_isomorphic(a: PlethysmInstance, b: PlethysmInstance) -> bool:
     """True iff SL-isomorphic and |delta_a|*|lam_a| = |delta_b|*|lam_b|."""
     if sum(a.delta) * weight(a.lam) != sum(b.delta) * weight(b.lam):
         return False
-    return sl_isomorphic(a.sl_instance(), b.sl_instance())
-
-
-def normalize(a: SLInstance) -> SLInstance:
-    """Strip full-height columns: reduce lam so it has at most d rows.
-
-    The P polynomial (hence the SL-isomorphism type) is unchanged.
-    """
-    reduced, _ = tilde_reduce(a.lam, a.d + 1)
-    return dataclasses.replace(a, lam=reduced)
-
-
-def dual(a: SLInstance) -> SLInstance:
-    """The complement of lam inside the (d+1) x lam_1 box, same d.
-
-    Always SL-isomorphic to the input.
-    """
-    return dataclasses.replace(a, lam=complement(a.lam, a.d + 1))
+    return sl_isomorphic(a.sl, b.sl)

@@ -17,15 +17,19 @@ plethykit against.  The package itself calls none of them.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
   condition under which the first-row pair of a ``main_family`` square
   is GL-isomorphic, checked against ``gl_isomorphic``.
+* ``complement``, ``tilde_reduce``, ``dual`` and ``normalize``: the box
+  complement that ``staircase.reverse`` must realize, the full-column
+  strip, and the two moves on an ``SLInstance`` built from them, which
+  must leave ``SLInstance.key`` unchanged.
 """
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from plethykit.errors import InexactDivision
+from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import p_poly
-from plethykit.partition import Partition, b_statistic, weight
+from plethykit.partition import Partition, b_statistic, canonical, weight
 from plethykit.plethysm import PlethysmInstance, SLInstance
 
 Cell = tuple[int, int]
@@ -113,6 +117,39 @@ def conjugate(p: Partition) -> Partition:
     return tuple(sum(1 for part in p if part > j) for j in range(p[0]))
 
 
+def complement(p: Partition, k: int) -> Partition:
+    """The complement of the diagram of p inside a k x p[0] rectangle.
+
+    With parts zero-padded to length k, the complement reads
+    (p[0]-p[k-1], ..., p[0]-p[1]) and is returned in canonical form.
+
+    Raises LengthExceedsDimension if p has more than k parts.
+    """
+    if len(p) > k:
+        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
+    if not p:
+        return ()
+    padded = p + (0,) * (k - len(p))
+    return canonical(p[0] - padded[i] for i in range(k - 1, 0, -1))
+
+
+def tilde_reduce(p: Partition, k: int) -> tuple[Partition, int]:
+    """Subtract the k-th (zero-padded) part from every part of p.
+
+    Returns the reduced partition together with the subtracted amount,
+    e.g. ((4,3,2), k=3) -> ((2,1), 2).  The reduced partition has fewer
+    than k parts.
+
+    Raises LengthExceedsDimension if p has more than k parts.
+    """
+    if len(p) > k:
+        raise LengthExceedsDimension(f"partition {p} does not fit in {k} rows")
+    if len(p) < k or k == 0:
+        return p, 0
+    shift = p[-1]
+    return canonical(part - shift for part in p), shift
+
+
 def cells(p: Partition) -> Iterator[Cell]:
     """All cells of the diagram, row by row, as 1-based (row, col)."""
     for i, part in enumerate(p, start=1):
@@ -176,7 +213,7 @@ def character_data(inst: PlethysmInstance) -> CharacterData:
     return CharacterData(
         weight_exponents=(w * inst.delta[0], w * inst.delta[1]),
         b_shift=b_statistic(inst.lam),
-        p=p_poly(inst.lam, inst.sl_instance().d),
+        p=p_poly(inst.lam, inst.sl.d),
     )
 
 
@@ -215,3 +252,20 @@ def main_gl_condition(x, y, u: int, v: int, z: int, shape: str) -> bool:
 def minimal_lift(inst: SLInstance) -> PlethysmInstance:
     """The canonical GL lift delta = (d, 0) of an SL instance."""
     return PlethysmInstance(inst.lam, (inst.d, 0))
+
+
+def normalize(a: SLInstance) -> SLInstance:
+    """Strip full-height columns: reduce lam so it has at most d rows.
+
+    The P polynomial (hence the SL-isomorphism type) is unchanged.
+    """
+    reduced, _ = tilde_reduce(a.lam, a.d + 1)
+    return replace(a, lam=reduced)
+
+
+def dual(a: SLInstance) -> SLInstance:
+    """The complement of lam inside the (d+1) x lam_1 box, same d.
+
+    Always SL-isomorphic to the input.
+    """
+    return replace(a, lam=complement(a.lam, a.d + 1))

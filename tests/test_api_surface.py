@@ -2,9 +2,10 @@
 
 The README's Python quick start and one success and one error
 invocation of each CLI command (every family kind) run under a profiler
-hook.  Every function and method defined under ``src/plethykit`` must be
-called at least once; a helper that only tests call belongs in
-``tests/reference.py`` instead.
+hook.  Every function and method defined under ``src/plethykit``,
+dunder methods aside, must be called at least once, with no exemption
+list: a helper that only tests call belongs in ``tests/reference.py``
+instead.
 """
 
 import ast
@@ -19,18 +20,6 @@ from .test_cli import SL_A, SL_B, run
 from .test_readme import README
 
 SRC = Path(plethykit.__file__).resolve().parent
-
-# Library calls that no command makes yet, each kept for a planned caller.
-EXEMPT = {
-    "plethysm.py": {
-        "dual": "a move of the planned `verify --explain` (ROADMAP item 6)",
-        "normalize": "a move of the planned `verify --explain` (ROADMAP item 6)",
-    },
-    "partition.py": {
-        "complement": "the box complement that dual takes",
-        "tilde_reduce": "the full-column strip that normalize takes",
-    },
-}
 
 PARAMS = ("--u", "2", "--v", "1", "--z", "1")
 
@@ -103,12 +92,5 @@ def test_every_src_function_is_reached():
         for (path, line), name in sorted(defined.items())
         if (path, line) not in reached
         and not (name.rsplit(".", 1)[-1].startswith("__") and name.endswith("__"))
-        and name not in EXEMPT.get(path.name, {})
     ]
     assert not unreached, "reached only from tests (move to tests/reference.py): " + ", ".join(unreached)
-    # An exemption whose function is gone, or now has a caller, is stale.
-    for filename, names in EXEMPT.items():
-        for name in names:
-            keys = [key for key, qual in defined.items() if key[0].name == filename and qual == name]
-            assert len(keys) == 1, (filename, name)
-            assert keys[0] not in reached, (filename, name)

@@ -9,6 +9,7 @@ import pytest
 from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
 from plethykit.errors import ConsistencyError, InexactDivision
+from plethykit.oracle import specialize_ssyt
 
 from .reference import ONE
 
@@ -175,6 +176,18 @@ def test_twist_bound_zero_finds_nothing():
     ]
 
 
+def test_twist_failing_its_own_check_is_an_internal_failure(monkeypatch):
+    # twist.py proves every solution a GL-isomorphism, so a failed check
+    # is a bug (exit 3), never "found and verified" (exit 0).
+    monkeypatch.setattr(cli, "verify_twist", lambda a, b, t: False)
+    result = run("twist", SL_A, SL_B)
+    assert result.exit_code == 3
+    [line] = lines(result)
+    assert line["error"] == "ConsistencyError"
+    named = ("TwistSolution(l=1, m=2, x=2, y=0)", "SLInstance(lam=(2,), d=2)", "SLInstance(lam=(1, 1), d=3)")
+    assert all(part in line["message"] for part in named), line["message"]
+
+
 @pytest.mark.parametrize("bad", COERCED_SL)
 def test_twist_rejects_coerced_instances(bad):
     read_as = COERCED_SL[bad]
@@ -290,6 +303,20 @@ def test_oracle_check_names_a_faulty_tableau_route(monkeypatch):
         "hook_content": ["1", "1"],
     }
     assert result.stderr == "disagreement at lambda=[1] d=1: tableau differs\n"
+
+
+def test_oracle_check_shares_one_tableau_memo(monkeypatch):
+    memos = []
+
+    def recording(p, d, memo=None):
+        memos.append(memo)
+        return specialize_ssyt(p, d, memo)
+
+    monkeypatch.setattr(cli, "specialize_ssyt", recording)
+    result = run("oracle-check", "--max-weight", "6", "--max-d", "5")
+    assert result.exit_code == 0
+    assert len(memos) > 1
+    assert all(memo is memos[0] for memo in memos)
 
 
 def _raise(exc):

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
-from plethykit.partition import b_statistic, complement, partitions_of, weight
+from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 
 from .reference import (
     ONE,
     canonical_poly,
     cells,
+    complement,
     conjugate,
     content,
     exact_div,

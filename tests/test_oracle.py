@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from plethykit.errors import LengthExceedsDimension
 from plethykit.hookcontent import p_poly
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
-from plethykit.partition import b_statistic, complement, partitions_of, weight
+from plethykit.partition import b_statistic, partitions_of, weight
 
-from .reference import ONE, canonical_poly, q_analog, trim
+from .reference import ONE, canonical_poly, complement, q_analog, trim
 from .test_partition import partitions
 
 
@@ -134,6 +134,14 @@ def test_shared_memo_matches_a_fresh_memo_for_every_d():
     fresh = {}
     specialize_ssyt(lam, top, fresh)
     assert shared == fresh
+    # A second partition keeps the same memo, as oracle-check does: its
+    # shapes recur among the first's, and every value stays right.
+    mu, before = (2, 2, 1), len(shared)
+    for d in range(len(mu) - 1, top + 1):
+        assert specialize_ssyt(mu, d, shared) == specialize_ssyt(mu, d), d
+    alone = {}
+    specialize_ssyt(mu, top, alone)
+    assert len(shared) - before < len(alone)
 
 
 def test_ssyt_past_the_old_budget():

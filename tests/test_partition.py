@@ -9,13 +9,11 @@ from plethykit.partition import (
     add,
     b_statistic,
     canonical,
-    complement,
     partitions_of,
-    tilde_reduce,
     weight,
 )
 
-from .reference import cells, conjugate, content, hook_length
+from .reference import cells, complement, conjugate, content, hook_length, tilde_reduce
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from plethykit import plethysm
 from plethykit.errors import EmptyDiagram
 from plethykit.hookcontent import sl_key
-from plethykit.plethysm import SLInstance, dual, gl_isomorphic, sl_isomorphic
+from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
     corollary_I_family,
     corollary_II_family,
@@ -19,7 +19,7 @@ from plethykit.staircase import (
     to_instance,
 )
 
-from .reference import main_gl_condition, minimal_lift
+from .reference import dual, main_gl_condition, minimal_lift
 from .test_cli import run
 
 ENTRY = st.integers(0, 3)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from plethykit.errors import NotSLIsomorphic, ZeroWeight
 from plethykit.partition import add, weight
-from plethykit.plethysm import SLInstance, dual, normalize, sl_isomorphic
+from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.twist import (
     TwistSolution,
     _min_y_solution,
@@ -16,7 +16,8 @@ from plethykit.twist import (
     verify_twist,
 )
 
-from .test_plethysm import sl_instances
+from .reference import dual, normalize
+from .test_plethysm import sl_examples
 
 
 @st.composite
@@ -26,7 +27,7 @@ def sl_isomorphic_pairs(draw):
         p = draw(st.integers(1, 5))
         q = draw(st.integers(1, 5))
         return SLInstance((p,), q), SLInstance((q,), p)
-    a = draw(sl_instances(max_weight=6, max_d=4))
+    a = draw(sl_examples(max_weight=6, max_d=4))
     if kind == "same":
         return a, a
     if kind == "dual":
