@@ -17,6 +17,11 @@ count or with d.  Instances are compared and grouped by their keys,
 read through ``SLInstance.key``; ``p_poly`` is the key's printed form,
 expanded only where a polynomial is shown or compared as one.
 
+Both are memoized.  ``sl_key`` keeps its last 512 keys because the
+staircase families repeat instances: a zero parameter, or u = v, makes
+members of one square or of neighbouring squares coincide, so a sweep
+over a parameter grid asks for the same (lambda, d) many times.
+
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are
 equal tuples, and nothing here touches floating point.
@@ -59,6 +64,7 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     return out[: len(f) - b]
 
 
+@lru_cache(maxsize=512)
 def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     """The SL invariant of (p, d): the flat tuple (n_1, c_1, n_2, c_2, ...)
     of the pairs (n, c_n) with c_n != 0, n strictly increasing, where c_n

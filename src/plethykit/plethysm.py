@@ -8,9 +8,8 @@ weights |delta|*|lam| match.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .errors import ConsistencyError, LengthExceedsDimension
+from .errors import ConsistencyError
 from .hookcontent import sl_key
 from .partition import Partition, canonical, weight
 
@@ -31,21 +30,15 @@ class SLInstance:
 
     lam: Partition
     d: int
+    # sl_key(lam, d), built at construction, which also rejects len(lam) > d + 1.
+    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", canonical(self.lam))
         _require_int("d", self.d)
         if self.d < 0:
             raise ValueError(f"d must be nonnegative, got {self.d}")
-        if len(self.lam) > self.d + 1:
-            raise LengthExceedsDimension(
-                f"{self.lam} has more than {self.d + 1} rows"
-            )
-
-    @cached_property
-    def key(self) -> tuple[int, ...]:
-        """``sl_key(lam, d)``, built on first use and kept on the instance."""
-        return sl_key(self.lam, self.d)
+        object.__setattr__(self, "key", sl_key(self.lam, self.d))
 
     def to_json(self) -> dict:
         return {"lambda": list(self.lam), "d": self.d}
@@ -63,7 +56,7 @@ class PlethysmInstance:
 
     lam: Partition
     delta: tuple[int, int]
-    # The (lam, d) instance, built once here so its key is built at most once.
+    # The (lam, d) instance, built once here with its key.
     sl: SLInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -135,8 +135,8 @@ def pairwise_sl_isomorphic(instances: list[SLInstance]) -> bool:
 
     Each member is checked against the first only: equal keys and the
     parity of |lam|*d that ``sl_isomorphic`` enforces are both
-    transitive, so that answers for every pair.  Each instance keeps its
-    key (``SLInstance.key``), so a call builds at most one key per member
-    and none for a member whose key was built before.
+    transitive, so that answers for every pair.  The keys compared are
+    the ones each instance built at construction (``SLInstance.key``),
+    so a call builds none.
     """
     return all(sl_isomorphic(instances[0], b) for b in instances[1:])

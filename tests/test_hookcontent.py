@@ -8,6 +8,7 @@ from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
+from plethykit.staircase import main_family
 
 from .reference import (
     ONE,
@@ -146,6 +147,34 @@ def test_sl_key_known_values():
     assert key_pairs(sl_key((1, 1), 1)) == frozenset()
     with pytest.raises(LengthExceedsDimension):
         sl_key((1, 1, 1), 1)
+
+
+def test_sl_instance_length_is_checked_by_sl_key():
+    # SLInstance builds its key at construction, so sl_key's length
+    # check is the instance's.
+    with pytest.raises(LengthExceedsDimension, match=r"^\(1, 1, 1\) has more than 2 rows$"):
+        SLInstance((1, 1, 1), 1)
+
+
+def test_sl_key_memo_builds_each_distinct_instance_once():
+    # At u = v a square's A equals B and C equals D: two distinct
+    # (lam, d), asked for twice each.
+    sl_key.cache_clear()
+    family = main_family((1,), (2,), 1, 1, 1)
+    distinct = {(inst.lam, inst.d) for inst in family}
+    assert len(distinct) == 2
+    info = sl_key.cache_info()
+    assert (info.misses, info.hits) == (len(distinct), len(family) - len(distinct))
+
+
+def test_sl_key_memo_eviction_keeps_keys_exact():
+    sl_key.cache_clear()
+    asked = [(p, d) for d in range(1, 10) for n in range(10) for p in partitions_of(n, d + 1)]
+    assert len(set(asked)) > sl_key.cache_info().maxsize
+    for p, d in asked:
+        sl_key(p, d)
+    assert sl_key.cache_info().currsize == sl_key.cache_info().maxsize
+    assert [sl_key(p, d) for p, d in asked] == [sl_key.__wrapped__(p, d) for p, d in asked]
 
 
 def test_sl_key_partitions_like_p_poly_exhaustively():

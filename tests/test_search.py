@@ -112,6 +112,7 @@ def test_enumeration_memory_stays_small():
     # so the key's container bounds how far search can go.  The flat-tuple
     # key peaks at about 1.2 MiB here, a frozenset of pairs at about 2.4.
     p_poly.cache_clear()
+    sl_key.cache_clear()
     tracemalloc.start()
     try:
         enumerate_classes(12, 10)
