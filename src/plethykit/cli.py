@@ -20,12 +20,7 @@ from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
 from .search import classify_gl, enumerate_classes
-from .staircase import (
-    corollary_I_family,
-    corollary_II_family,
-    main_family,
-    pairwise_sl_isomorphic,
-)
+from .staircase import FAMILIES, pairwise_sl_isomorphic
 from .twist import solve_twist, verify_twist
 
 
@@ -65,17 +60,7 @@ def verify(args) -> int:
 def family(args) -> int:
     """Generate an isomorphism family and verify it pairwise."""
     try:
-        if args.kind == "main":
-            if args.s is not None:
-                raise ValueError("--s only applies to cor1/cor2")
-            instances = main_family(args.x, args.y, args.u, args.v, args.z)
-        else:
-            if args.x or args.y:
-                raise ValueError("--x/--y only apply to the main family")
-            if args.s is None:
-                raise ValueError(f"{args.kind} needs --s")
-            build = corollary_I_family if args.kind == "cor1" else corollary_II_family
-            instances = build(args.s, args.u, args.v, args.z)
+        instances = FAMILIES[args.kind](*(getattr(args, name) for name in args.params))
     except (EmptyDiagram, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     verified = pairwise_sl_isomorphic(instances)
@@ -179,14 +164,19 @@ cmd.add_argument(
 cmd.set_defaults(run=verify)
 
 cmd = commands.add_parser("family", help=family.__doc__, allow_abbrev=False)
-cmd.add_argument("kind", choices=["main", "cor1", "cor2"])
-cmd.add_argument("--x", action="append", type=int, default=[], help="x entries (main only; repeatable).")
-cmd.add_argument("--y", action="append", type=int, default=[], help="y entries (main only; repeatable).")
-cmd.add_argument("--s", type=int, help="family depth (cor1/cor2 only).")
-cmd.add_argument("--u", required=True, type=int)
-cmd.add_argument("--v", required=True, type=int)
-cmd.add_argument("--z", required=True, type=int)
-cmd.set_defaults(run=family)
+kinds = cmd.add_subparsers(dest="kind", required=True)
+for kind in FAMILIES:  # one parser per family kind, so argparse rejects a stray or missing option
+    sub = kinds.add_parser(kind, allow_abbrev=False)
+    if kind == "main":
+        sub.add_argument("--x", action="append", type=int, default=[], help="x entries (repeatable).")
+        sub.add_argument("--y", action="append", type=int, default=[], help="y entries (repeatable).")
+        leading = ("x", "y")
+    else:
+        sub.add_argument("--s", required=True, type=int, help="family depth.")
+        leading = ("s",)
+    for name in ("u", "v", "z"):
+        sub.add_argument(f"--{name}", required=True, type=int)
+    sub.set_defaults(run=family, params=(*leading, "u", "v", "z"))
 
 cmd = commands.add_parser("twist", help=twist.__doc__, allow_abbrev=False)
 cmd.add_argument("instance_a")

@@ -14,13 +14,15 @@ block of equal rows for the contents and one per (row block, column
 block) pair for the hooks, so its cost grows with the number of
 distinct parts and the diagram's width and height, not with the cell
 count or with d.  Instances are compared and grouped by their keys,
-read through ``SLInstance.key``; ``p_poly`` is the key's printed form,
-expanded only where a polynomial is shown or compared as one.
+read through ``SLInstance.key``; ``expand`` turns a key into its printed
+form, the polynomial, only where one is shown or compared as one, and
+``p_poly`` is that expansion for a (p, d) not yet keyed.
 
-Both are memoized.  ``sl_key`` keeps its last 512 keys because the
-staircase families repeat instances: a zero parameter, or u = v, makes
-members of one square or of neighbouring squares coincide, so a sweep
-over a parameter grid asks for the same (lambda, d) many times.
+``sl_key`` and ``p_poly`` are memoized.  ``sl_key`` keeps its last 512
+keys because the staircase families repeat instances: a zero parameter,
+or u = v, makes members of one square or of neighbouring squares
+coincide, so a sweep over a parameter grid asks for the same (lambda, d)
+many times.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are
@@ -143,21 +145,26 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     return tuple([x for n, c in chain(hooks, contents) if c for x in (n, c)])
 
 
-@lru_cache(maxsize=8192)
-def p_poly(p: Partition, d: int) -> tuple[int, ...]:
-    """P^d_p = C^d_p / H_p as an exact integer polynomial, the expansion
-    of sl_key(p, d): its coefficient tuple, indexed by exponent, ending
-    in the leading coefficient.
+def expand(key: tuple[int, ...]) -> tuple[int, ...]:
+    """P = prod [n]^{c_n} as an exact integer polynomial, from its key
+    (n_1, c_1, n_2, c_2, ...) as ``sl_key`` returns it: its coefficient
+    tuple, indexed by exponent, ending in the leading coefficient.
 
     All multiplications by (1 - q^n) happen before any division, each
     group in increasing n, so every intermediate division stays exact.
-
-    Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     f = [1]
-    key = sl_key(p, d)
     for n, c in sorted(zip(key[::2], key[1::2]), key=lambda nc: nc[1] < 0):
         step = _times_one_minus if c > 0 else _over_one_minus
         for _ in range(abs(c)):
             f = step(f, n)
     return tuple(f)
+
+
+@lru_cache(maxsize=8192)
+def p_poly(p: Partition, d: int) -> tuple[int, ...]:
+    """P^d_p = C^d_p / H_p, the expansion of sl_key(p, d).
+
+    Raises LengthExceedsDimension unless length(p) <= d+1.
+    """
+    return expand(sl_key(p, d))

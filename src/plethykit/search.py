@@ -3,8 +3,8 @@
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
 <= max_d are grouped by ``SLInstance.key``, the complete SL-isomorphism
 invariant that ``sl_isomorphic`` compares; the class's P polynomial,
-a coefficient tuple as ``p_poly`` returns it, is the key's printed form
-and is expanded once per reported class.
+a coefficient tuple as ``expand`` returns it, is the key's printed form
+and is expanded once per reported class from the key its members hold.
 Classes with at least two members are reported, and each member pair
 is labelled, in O(1) from its weights and degrees, by how (or whether)
 the SL-isomorphism upgrades to a GL one.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
-from .hookcontent import p_poly
+from .hookcontent import expand
 from .partition import partitions_of, weight
 from .plethysm import SLInstance
 from .twist import nu2_obstruction
@@ -38,7 +38,7 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     """Group all normalized instances within the bounds by ``SLInstance.key``.
 
     Only classes with two or more members are returned, each with its P
-    polynomial expanded once from its first member, sorted by P's length
+    polynomial expanded once from its first member's key, sorted by P's length
     (its degree plus one) and then lexicographically by P's coefficients.
 
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
@@ -57,7 +57,7 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     for members in groups.values():
         if len(members) >= 2:
             members.sort(key=lambda i: (i.d, i.lam))
-            classes.append(EquivalenceClass(p_poly(members[0].lam, members[0].d), tuple(members)))
+            classes.append(EquivalenceClass(expand(members[0].key), tuple(members)))
     classes.sort(key=lambda c: (len(c.poly), c.poly))
     return classes
 

@@ -8,12 +8,14 @@ inside ambient dimension d+1 = h1 + ... + hr + s.  Reversing both
 tuples produces the box complement of the diagram, which is always
 SL-isomorphic to it.
 
-The four-member ``main_family`` square and the two six-member corollary
-families below are staircase configurations that are pairwise
-SL-isomorphic for every choice of nonnegative parameters.  Each
-corollary family is two main squares glued along two shared members.
+``FAMILIES`` maps each family kind to the builder of its members: the
+four-member ``main_family`` square and the two six-member corollary
+families, staircase configurations that are pairwise SL-isomorphic for
+every choice of their parameters.  Each corollary family is two main
+squares glued along two shared members.
 """
 
+from functools import partial
 from itertools import accumulate
 
 from .errors import EmptyDiagram
@@ -81,53 +83,35 @@ def main_family(x: Sequence, y: Sequence, u: int, v: int, z: int) -> list[SLInst
 
 
 # ----------------------------------------------------------------------
-# the six-member corollary families
+# the six-member corollary families, and the table of every family
 
-def _check_family_params(s: int, u: int, v: int, z: int) -> None:
+def _corollary(square, s: int, u: int, v: int, z: int) -> list[SLInstance]:
+    """The instances of A1, B1, C2, A2, B2, C1: the union of the main
+    squares (A1, B1, C1, D1) = square(s, u, v, z) and (A2, B2, C2, D2) =
+    square(s, u, z, v), the first with v and z swapped, glued along
+    B1 == D2 and B2 == D1, so one SL-isomorphism class of six members.
+
+    Raises ValueError unless s >= 0 and u, v, z >= 1.
+    """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if min(u, v, z) < 1:
         raise ValueError(f"u, v, z must be positive, got {(u, v, z)}")
-
-
-def _glue(one, two) -> list[SLInstance]:
-    """The instances of A1, B1, C2, A2, B2, C1: the union of two main
-    squares (A1, B1, C1, D1) and (A2, B2, C2, D2) glued along B1 == D2
-    and B2 == D1, so one SL-isomorphism class of six members."""
-    (a1, b1, c1, _), (a2, b2, c2, _) = one, two
+    (a1, b1, c1, _), (a2, b2, c2, _) = square(s, u, v, z), square(s, u, z, v)
     return [to_instance(desc) for desc in (a1, b1, c2, a2, b2, c1)]
 
 
-def corollary_I_family(s: int, u: int, v: int, z: int) -> list[SLInstance]:
-    """Six pairwise SL-isomorphic staircases; at s = 0 these are the six
-    rectangle instances (a^b) with d = b + c - 1 over all permutations
-    (a, b, c) of (u, v, z).
-
-    The family glues the main squares of ((z,)*s, (v,)*s, v, u, z) and
-    of ((v,)*s, (z,)*s, z, u, v), the second being the first with v and
-    z swapped.
-    """
-    _check_family_params(s, u, v, z)
-    return _glue(
-        main_square((z,) * s, (v,) * s, v, u, z),
-        main_square((v,) * s, (z,) * s, z, u, v),
-    )
-
-
-def corollary_II_family(s: int, u: int, v: int, z: int) -> list[SLInstance]:
-    """Six pairwise SL-isomorphic two-block staircases, the thickened
-    variant of corollary family I.
-
-    The family glues the main squares of ((z,)*s, (v,)*(s+1), u, z, z)
-    and of ((v,)*s, (z,)*(s+1), u, v, v), the second being the first
-    with v and z swapped.  Their x and y differ in length by one, which
-    ``main_square`` accepts and ``main_family`` does not.
-    """
-    _check_family_params(s, u, v, z)
-    return _glue(
-        main_square((z,) * s, (v,) * (s + 1), u, z, z),
-        main_square((v,) * s, (z,) * (s + 1), u, v, v),
-    )
+# Every family kind and the builder of its members.  main takes
+# (x, y, u, v, z), each corollary (s, u, v, z).  Corollary I at s = 0
+# is the six rectangle instances (a^b) with d = b + c - 1 over all
+# permutations (a, b, c) of (u, v, z); corollary II is its thickened
+# two-block variant, whose x and y differ in length by one, which
+# ``main_square`` accepts and ``main_family`` does not.
+FAMILIES = {
+    "main": main_family,
+    "cor1": partial(_corollary, lambda s, u, v, z: main_square((z,) * s, (v,) * s, v, u, z)),
+    "cor2": partial(_corollary, lambda s, u, v, z: main_square((z,) * s, (v,) * (s + 1), u, z, z)),
+}
 
 
 def pairwise_sl_isomorphic(instances: list[SLInstance]) -> bool:

@@ -24,7 +24,7 @@ from plethykit.plethysm import (
 )
 from plethykit.search import classify_gl, enumerate_classes
 from plethykit.staircase import (
-    corollary_I_family,
+    FAMILIES,
     main_family,
     main_square,
     pairwise_sl_isomorphic,
@@ -80,7 +80,7 @@ def _hermite_pairs():
 def _rectangle_families():
     """The six-member corollary I families at s = 0 for all u, v, z <= 4."""
     return [
-        ((u, v, z), corollary_I_family(0, u, v, z))
+        ((u, v, z), FAMILIES["cor1"](0, u, v, z))
         for u, v, z in product(range(1, 5), repeat=3)
     ]
 

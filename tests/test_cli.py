@@ -144,20 +144,26 @@ def test_family_corollaries():
     assert lines(result)[0]["verified"] is True
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("family", "main", "--x", "1", "--u", "1", "--v", "2", "--z", "1"),  # len mismatch
-        ("family", "main", "--s", "1", "--u", "1", "--v", "2", "--z", "1"),  # stray --s
-        ("family", "main", "--u", "0", "--v", "0", "--z", "0"),  # empty diagrams
-        ("family", "cor1", "--u", "1", "--v", "2", "--z", "3"),  # missing --s
-        ("family", "cor1", "--s", "0", "--x", "1", "--u", "1", "--v", "2", "--z", "3"),
-        ("family", "cor1", "--s", "0", "--u", "0", "--v", "2", "--z", "3"),  # u < 1
-        ("family", "nope", "--u", "1", "--v", "2", "--z", "3"),
-    ],
-)
+# family command lines that must exit 2, each mapped to what stderr
+# must name: the offending option or parameter.
+BAD_FAMILY = {
+    ("family", "main", "--x", "1", "--u", "1", "--v", "2", "--z", "1"): "len(x)",
+    ("family", "main", "--s", "1", "--u", "1", "--v", "2", "--z", "1"): "--s",
+    ("family", "main", "--u", "0", "--v", "0", "--z", "0"): "heights and the slack",  # empty diagrams
+    ("family", "cor1", "--u", "1", "--v", "2", "--z", "3"): "--s",  # missing
+    ("family", "cor1", "--s", "0", "--x", "1", "--u", "1", "--v", "2", "--z", "3"): "--x",
+    ("family", "cor1", "--s", "0", "--u", "0", "--v", "2", "--z", "3"): "u, v, z",
+    ("family", "nope", "--u", "1", "--v", "2", "--z", "3"): "nope",
+    ("family", "--u", "2", "--v", "1", "--z", "1", "cor1", "--s", "0"): "argument kind",  # options before the kind
+}
+
+
+@pytest.mark.parametrize("args", BAD_FAMILY)
 def test_family_rejects_bad_parameters(args):
-    assert run(*args).exit_code == 2
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert BAD_FAMILY[args] in result.stderr, result.stderr
 
 
 def test_twist_witness():
@@ -336,7 +342,7 @@ FAMILY_MAIN = ("family", "main", "--x", "1", "--y", "1", "--u", "2", "--v", "1",
         (staircase, "sl_isomorphic", ConsistencyError, FAMILY_MAIN),
         (staircase, "to_instance", MemoryError, FAMILY_MAIN),
         (twist, "sl_isomorphic", ConsistencyError, ("twist", SL_A, SL_B)),
-        (search, "p_poly", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
+        (search, "expand", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
         (cli, "specialize_bialternant", InexactDivision, ("oracle-check", "--max-weight", "2", "--max-d", "2")),
     ],
     ids=["verify", "family", "family-memory", "twist", "search", "oracle-check"],

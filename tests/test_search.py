@@ -94,7 +94,8 @@ def test_enumeration_budget(monkeypatch):
 
 def test_instances_are_grouped_by_their_own_key(monkeypatch):
     # One key path: each enumerated instance builds its key once, through
-    # SLInstance.key, the key sl_isomorphic compares.
+    # SLInstance.key, the key sl_isomorphic compares, and each class's P
+    # is expanded from that key, so sl_key is called nowhere else.
     built = []
 
     def counting_sl_key(p, d):
@@ -102,9 +103,13 @@ def test_instances_are_grouped_by_their_own_key(monkeypatch):
         return sl_key(p, d)
 
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
+    p_poly.cache_clear()  # a cached P would hide a second sl_key call
+    sl_key.cache_clear()
     enumerate_classes(6, 5)
     instances = [(lam, d) for d in range(1, 6) for n in range(1, 7) for lam in partitions_of(n, d)]
     assert sorted(built) == sorted(instances)
+    calls = sl_key.cache_info()
+    assert calls.hits + calls.misses == len(instances)
 
 
 def test_enumeration_memory_stays_small():

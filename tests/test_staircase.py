@@ -10,8 +10,7 @@ from plethykit.errors import EmptyDiagram
 from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
-    corollary_I_family,
-    corollary_II_family,
+    FAMILIES,
     main_family,
     main_square,
     pairwise_sl_isomorphic,
@@ -23,6 +22,7 @@ from .reference import dual, main_gl_condition, minimal_lift
 from .test_cli import run
 
 ENTRY = st.integers(0, 3)
+COROLLARIES = [kind for kind in FAMILIES if kind != "main"]
 
 
 @st.composite
@@ -230,7 +230,7 @@ def test_second_row_pair_never_gl_for_distinct_u_v():
 def test_corollary_I_rectangles_at_s_zero():
     from itertools import permutations
 
-    fam = corollary_I_family(0, 1, 2, 3)
+    fam = FAMILIES["cor1"](0, 1, 2, 3)
     key = lambda inst: (inst.lam, inst.d)
     expected = sorted(
         (SLInstance((a,) * b, b + c - 1) for a, b, c in permutations((1, 2, 3))), key=key
@@ -240,22 +240,18 @@ def test_corollary_I_rectangles_at_s_zero():
 
 
 def test_corollary_I_collapses_at_ones():
-    fam = corollary_I_family(0, 1, 1, 1)
+    fam = FAMILIES["cor1"](0, 1, 1, 1)
     assert fam == [SLInstance((1,), 1)] * 6
 
 
-@pytest.mark.parametrize("params", [(0, 1, 2, 3), (1, 2, 1, 1), (1, 1, 2, 2), (2, 1, 1, 2)])
-def test_corollary_I_is_pairwise_sl_isomorphic(params):
-    assert pairwise_sl_isomorphic(corollary_I_family(*params))
-
-
-@pytest.mark.parametrize("params", [(0, 1, 2, 3), (0, 2, 3, 3), (1, 2, 1, 1), (1, 1, 2, 2)])
-def test_corollary_II_is_pairwise_sl_isomorphic(params):
-    assert pairwise_sl_isomorphic(corollary_II_family(*params))
+@pytest.mark.parametrize("kind", COROLLARIES)
+@pytest.mark.parametrize("params", [(0, 1, 2, 3), (0, 2, 3, 3), (1, 2, 1, 1), (1, 1, 2, 2), (2, 1, 1, 2)])
+def test_corollary_is_pairwise_sl_isomorphic(params, kind):
+    assert pairwise_sl_isomorphic(FAMILIES[kind](*params))
 
 
 def test_corollary_II_known_instance():
-    fam = corollary_II_family(0, 2, 3, 3)
+    fam = FAMILIES["cor2"](0, 2, 3, 3)
     assert fam[2] == SLInstance((5, 5, 5, 3, 3, 3), 8)
     # u appears symmetrically here because v == z, so the rows repeat.
     assert fam[5] == fam[2]
@@ -279,12 +275,40 @@ def test_corollary_family_stdout_is_pinned():
     )
 
 
+def test_main_family_stdout_is_pinned():
+    # The digest of ``family main`` stdout over every x, y with
+    # len(x) == len(y) <= 2 and u, v, z, all entries in 0..2.  The 15
+    # squares whose diagrams are all empty exit 2 with stdout empty.
+    stdout, codes = "", []
+    for n in range(3):
+        for x, y in product(product(range(3), repeat=n), repeat=2):
+            steps = [arg for e in x for arg in ("--x", str(e))] + [arg for e in y for arg in ("--y", str(e))]
+            for u, v, z in product(range(3), repeat=3):
+                result = run("family", "main", *steps, "--u", str(u), "--v", str(v), "--z", str(z))
+                codes.append(result.exit_code)
+                stdout += result.stdout
+    assert (len(codes), codes.count(0), codes.count(2)) == (2457, 2442, 15)
+    assert stdout.count("\n") == 2442
+    assert (
+        hashlib.sha256(stdout.encode()).hexdigest()
+        == "5c60ed390327efb0a3fb3cc9b0ce78f884243443a001ed357cf637ccb08e51c8"
+    )
+
+
 @pytest.mark.parametrize("bad", [(-1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)])
 def test_corollary_parameter_validation(bad):
-    with pytest.raises(ValueError):
-        corollary_I_family(*bad)
-    with pytest.raises(ValueError):
-        corollary_II_family(*bad)
+    for kind in COROLLARIES:
+        with pytest.raises(ValueError):
+            FAMILIES[kind](*bad)
+
+
+def test_every_family_kind_has_a_parser():
+    # The family parser is generated from FAMILIES, so a new row is a
+    # new ``family KIND`` command.
+    for kind in FAMILIES:
+        result = run("family", kind, "--help")
+        assert result.exit_code == 0, kind
+        assert result.stdout.startswith(f"usage: plethykit family {kind} "), result.stdout
 
 
 def test_pairwise_sl_isomorphic_basics(monkeypatch):
