@@ -19,10 +19,11 @@ form, the polynomial, only where one is shown or compared as one, and
 ``p_poly`` is that expansion for a (p, d) not yet keyed.
 
 ``sl_key`` and ``p_poly`` are memoized.  ``sl_key`` keeps its last 512
-keys because the staircase families repeat instances: a zero parameter,
-or u = v, makes members of one square or of neighbouring squares
-coincide, so a sweep over a parameter grid asks for the same (lambda, d)
-many times.
+keys because the staircase families reach one (lambda, d) from distinct
+descriptors: a zero width or height merges two blocks, so neighbouring
+squares of a parameter grid share members written differently.  A
+repeated descriptor never reaches ``sl_key``: the staircase member memo
+answers it first.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are

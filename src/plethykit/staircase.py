@@ -13,28 +13,57 @@ four-member ``main_family`` square and the two six-member corollary
 families, staircase configurations that are pairwise SL-isomorphic for
 every choice of their parameters.  Each corollary family is two main
 squares glued along two shared members.
+
+Members are built by ``_member``, which keeps its last 512 instances:
+the square with u and v swapped has the same four descriptors, and
+u = v repeats two within one square, so a sweep over a parameter grid
+asks for the same descriptor many times.  Below it the ``sl_key`` memo
+catches the other repeat, distinct descriptors of one instance.  The
+member memo matches descriptors by == and hash, under which True and
+1.0 equal 1, so every entry is checked to be an int before the lookup:
+once per call by the family builders, for their parameters, and by
+``to_instance``, for the descriptor it is given.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 
 from .errors import EmptyDiagram
-from .plethysm import SLInstance, sl_isomorphic
+from .plethysm import SLInstance, _require_int, sl_isomorphic
 
 Sequence = tuple[int, ...]
 Descriptor = tuple[Sequence, Sequence]
 
 
+def _require_ints(name: str, values) -> None:
+    """Raise ValueError unless every value is an int and not a bool."""
+    for value in values:
+        if type(value) is not int:  # a plain int, the usual case, costs one call
+            _require_int(name, value)
+
+
 def to_instance(s: Descriptor) -> SLInstance:
     """The SL instance of the staircase: its partition and ambient d.
 
-    Raises ValueError unless heights_slack has exactly one more entry
-    than widths and every entry is nonnegative, and EmptyDiagram when
-    every height and the slack are zero, since then d = -1 is undefined.
+    Raises ValueError unless every entry is an int (not a bool),
+    heights_slack has exactly one more entry than widths and every
+    entry is nonnegative, and EmptyDiagram when every height and the
+    slack are zero, since then d = -1 is undefined.
     """
+    widths, heights_slack = s
+    _require_ints("each width, height and the slack", (*widths, *heights_slack))
+    return _member((tuple(widths), tuple(heights_slack)))
+
+
+@lru_cache(maxsize=512)
+def _member(s: Descriptor) -> SLInstance:
+    """``to_instance`` without the int check before the memo lookup:
+    callers check the entries first, since the memo would answer (1.0,)
+    or (True,) with the instance of (1,).  A miss makes every check."""
     widths, heights_slack = s
     if len(heights_slack) != len(widths) + 1:
         raise ValueError("need exactly one more height than widths")
+    _require_ints("each width, height and the slack", (*widths, *heights_slack))
     if min(widths, default=0) < 0 or min(heights_slack) < 0:
         raise ValueError(f"widths, heights and slack must be nonnegative, got {s}")
     d = sum(heights_slack) - 1
@@ -74,12 +103,13 @@ def main_family(x: Sequence, y: Sequence, u: int, v: int, z: int) -> list[SLInst
     """The four pairwise SL-isomorphic instances of the (x, y, u, v, z)
     square, in the order A, B, C, D.
 
-    Raises ValueError unless len(x) == len(y), and EmptyDiagram when all
-    heights vanish.
+    Raises ValueError unless every parameter entry is an int (not a
+    bool) and len(x) == len(y), and EmptyDiagram when all heights vanish.
     """
+    _require_ints("each x and y entry and u, v, z", (*x, *y, u, v, z))
     if len(x) != len(y):
         raise ValueError(f"len(x) = {len(x)} and len(y) = {len(y)} must be equal")
-    return [to_instance(desc) for desc in main_square(x, y, u, v, z)]
+    return [_member(desc) for desc in main_square(x, y, u, v, z)]
 
 
 # ----------------------------------------------------------------------
@@ -91,14 +121,16 @@ def _corollary(square, s: int, u: int, v: int, z: int) -> list[SLInstance]:
     square(s, u, z, v), the first with v and z swapped, glued along
     B1 == D2 and B2 == D1, so one SL-isomorphism class of six members.
 
-    Raises ValueError unless s >= 0 and u, v, z >= 1.
+    Raises ValueError unless s, u, v, z are ints (not bools), s >= 0 and
+    u, v, z >= 1.
     """
+    _require_ints("each of s, u, v, z", (s, u, v, z))
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if min(u, v, z) < 1:
         raise ValueError(f"u, v, z must be positive, got {(u, v, z)}")
     (a1, b1, c1, _), (a2, b2, c2, _) = square(s, u, v, z), square(s, u, z, v)
-    return [to_instance(desc) for desc in (a1, b1, c2, a2, b2, c1)]
+    return [_member(desc) for desc in (a1, b1, c2, a2, b2, c1)]
 
 
 # Every family kind and the builder of its members.  main takes

@@ -340,7 +340,7 @@ FAMILY_MAIN = ("family", "main", "--x", "1", "--y", "1", "--u", "2", "--v", "1",
     [
         (cli, "sl_isomorphic", ConsistencyError, ("verify", SL_A, SL_B)),
         (staircase, "sl_isomorphic", ConsistencyError, FAMILY_MAIN),
-        (staircase, "to_instance", MemoryError, FAMILY_MAIN),
+        (staircase, "_member", MemoryError, FAMILY_MAIN),
         (twist, "sl_isomorphic", ConsistencyError, ("twist", SL_A, SL_B)),
         (search, "expand", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
         (cli, "specialize_bialternant", InexactDivision, ("oracle-check", "--max-weight", "2", "--max-d", "2")),

@@ -8,7 +8,7 @@ from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
-from plethykit.staircase import main_family
+from plethykit.staircase import _member, to_instance
 
 from .reference import (
     ONE,
@@ -157,14 +157,15 @@ def test_sl_instance_length_is_checked_by_sl_key():
 
 
 def test_sl_key_memo_builds_each_distinct_instance_once():
-    # At u = v a square's A equals B and C equals D: two distinct
-    # (lam, d), asked for twice each.
+    # Two distinct descriptors of one instance: the member memo misses
+    # on both, so the second key is the sl_key memo's hit.
+    _member.cache_clear()
     sl_key.cache_clear()
-    family = main_family((1,), (2,), 1, 1, 1)
-    distinct = {(inst.lam, inst.d) for inst in family}
-    assert len(distinct) == 2
+    instances = [to_instance(s) for s in (((2, 0), (1, 2, 1)), ((2,), (3, 1)))]
+    distinct = {(inst.lam, inst.d) for inst in instances}
+    assert len(distinct) == 1
     info = sl_key.cache_info()
-    assert (info.misses, info.hits) == (len(distinct), len(family) - len(distinct))
+    assert (info.misses, info.hits) == (len(distinct), len(instances) - len(distinct))
 
 
 def test_sl_key_memo_eviction_keeps_keys_exact():

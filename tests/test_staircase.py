@@ -11,6 +11,7 @@ from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
     FAMILIES,
+    _member,
     main_family,
     main_square,
     pairwise_sl_isomorphic,
@@ -45,6 +46,64 @@ def test_descriptor_validation():
     for s in (((2, -1), (1, 0, 1)), ((0,), (3, -1)), ((1, 1), (2, -1, 1))):
         with pytest.raises(ValueError, match="nonnegative"):
             to_instance(s)
+
+
+# Each builder called with one int replaced by an equal bool or float,
+# which the member memo would otherwise match with the int's entry.
+COERCED = [
+    (lambda: FAMILIES["cor1"](True, 2, 1, 1), lambda: FAMILIES["cor1"](1, 2, 1, 1), "got True"),
+    (lambda: FAMILIES["cor2"](1, 2, 1.0, 1), lambda: FAMILIES["cor2"](1, 2, 1, 1), "got 1.0"),
+    (lambda: main_family((1,), (1,), 2, 1, True), lambda: main_family((1,), (1,), 2, 1, 1), "got True"),
+    (lambda: main_family((1.0,), (1,), 2, 1, 1), lambda: main_family((1,), (1,), 2, 1, 1), "got 1.0"),
+    (lambda: to_instance(((1,), (True, 1))), lambda: to_instance(((1,), (1, 1))), "got True"),
+    (lambda: to_instance(((1,), (1.0, 1))), lambda: to_instance(((1,), (1, 1))), "got 1.0"),
+]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
+@pytest.mark.parametrize(
+    "coerced, equal_int, entry",
+    COERCED,
+    ids=["cor1-s-bool", "cor2-v-float", "main-z-bool", "main-x-float", "descriptor-bool", "descriptor-float"],
+)
+def test_bool_and_float_entries_are_rejected(coerced, equal_int, entry, cached):
+    _member.cache_clear()
+    if cached:
+        equal_int()
+    with pytest.raises(ValueError, match=f"must be an integer, {entry}$"):
+        coerced()
+
+
+def test_member_memo_catches_repeated_descriptors():
+    # At u = v a square's A equals B and C equals D as descriptors.
+    _member.cache_clear()
+    main_family((1,), (2,), 1, 1, 1)
+    info = _member.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_member_memo_eviction_keeps_instances_exact():
+    _member.cache_clear()
+    asked = [
+        ((w1, w2), (h1, h2, s))
+        for w1, w2 in product(range(5), repeat=2)
+        for h1, h2, s in product(range(3), repeat=3)
+        if h1 + h2 + s
+    ]
+    assert len(set(asked)) > _member.cache_info().maxsize
+    for s in asked:
+        to_instance(s)
+    assert _member.cache_info().currsize == _member.cache_info().maxsize
+    again = [to_instance(s) for s in asked]
+    fresh = [_member.__wrapped__(s) for s in asked]
+    assert [(inst, inst.key) for inst in again] == [(inst, inst.key) for inst in fresh]
+
+
+@given(descriptors())
+def test_member_memo_equals_its_unmemoized_body(s):
+    assume(any(s[1]))  # else EmptyDiagram
+    assert _member(s) == _member.__wrapped__(s)
+    assert _member(s).key == _member.__wrapped__(s).key
 
 
 def test_to_instance_known_values():
@@ -323,7 +382,8 @@ def test_pairwise_sl_isomorphic_basics(monkeypatch):
     assert not pairwise_sl_isomorphic([x, mirror, other])
     assert not pairwise_sl_isomorphic([x, other, mirror])
     # One key per member, kept on the instance: a second call on the
-    # same list builds none.
+    # same list builds none.  The square's four descriptors are distinct,
+    # so the member memo holds none of them back.
     built = []
 
     def counting_sl_key(p, d):
@@ -331,7 +391,8 @@ def test_pairwise_sl_isomorphic_basics(monkeypatch):
         return sl_key(p, d)
 
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
-    family = main_family((1,), (1,), 2, 1, 1)
+    _member.cache_clear()  # a remembered member would build no key
+    family = main_family((), (), 2, 3, 1)
     assert pairwise_sl_isomorphic(family)
     assert len(built) == 4
     assert pairwise_sl_isomorphic(family)
