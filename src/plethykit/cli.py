@@ -11,6 +11,7 @@ Each command takes the parsed arguments and returns its exit code;
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
 from .search import classify_gl, enumerate_classes
-from .staircase import FAMILIES, pairwise_sl_isomorphic
+from .staircase import FAMILIES, Sequence, pairwise_sl_isomorphic
 from .twist import solve_twist, verify_twist
 
 
@@ -165,18 +166,18 @@ cmd.set_defaults(run=verify)
 
 cmd = commands.add_parser("family", help=family.__doc__, allow_abbrev=False)
 kinds = cmd.add_subparsers(dest="kind", required=True)
-for kind in FAMILIES:  # one parser per family kind, so argparse rejects a stray or missing option
+# One parser per family kind, its options the builder's parameters, so
+# argparse rejects a stray or missing option.  A Sequence parameter is
+# a repeatable option, one entry per use; every other is a required int.
+for kind, build in FAMILIES.items():
     sub = kinds.add_parser(kind, allow_abbrev=False)
-    if kind == "main":
-        sub.add_argument("--x", action="append", type=int, default=[], help="x entries (repeatable).")
-        sub.add_argument("--y", action="append", type=int, default=[], help="y entries (repeatable).")
-        leading = ("x", "y")
-    else:
-        sub.add_argument("--s", required=True, type=int, help="family depth.")
-        leading = ("s",)
-    for name in ("u", "v", "z"):
-        sub.add_argument(f"--{name}", required=True, type=int)
-    sub.set_defaults(run=family, params=(*leading, "u", "v", "z"))
+    params = inspect.signature(build).parameters
+    for name, param in params.items():
+        if param.annotation is Sequence:
+            sub.add_argument(f"--{name}", action="append", type=int, default=[])
+        else:
+            sub.add_argument(f"--{name}", required=True, type=int)
+    sub.set_defaults(run=family, params=tuple(params))
 
 cmd = commands.add_parser("twist", help=twist.__doc__, allow_abbrev=False)
 cmd.add_argument("instance_a")

@@ -18,12 +18,9 @@ read through ``SLInstance.key``; ``expand`` turns a key into its printed
 form, the polynomial, only where one is shown or compared as one, and
 ``p_poly`` is that expansion for a (p, d) not yet keyed.
 
-``sl_key`` and ``p_poly`` are memoized.  ``sl_key`` keeps its last 512
-keys because the staircase families reach one (lambda, d) from distinct
-descriptors: a zero width or height merges two blocks, so neighbouring
-squares of a parameter grid share members written differently.  A
-repeated descriptor never reaches ``sl_key``: the staircase member memo
-answers it first.
+``sl_key`` is a pure kernel with no memo: a caller whose traffic
+repeats an instance memoizes it, as ``staircase`` does.  ``p_poly`` is
+memoized.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are
@@ -67,7 +64,6 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     return out[: len(f) - b]
 
 
-@lru_cache(maxsize=512)
 def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     """The SL invariant of (p, d): the flat tuple (n_1, c_1, n_2, c_2, ...)
     of the pairs (n, c_n) with c_n != 0, n strictly increasing, where c_n

@@ -9,6 +9,18 @@ from collections.abc import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
+def require_ints(name: str, values: Iterable) -> None:
+    """Raise ValueError unless every value is an int and not a bool.
+
+    The one integer check of the package: partitions, d, delta and the
+    staircase parameters all pass through it.
+    """
+    for value in values:
+        # type() costs one call for a plain int, the usual case
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def canonical(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a part sequence (strip trailing zeros).
 
@@ -16,9 +28,8 @@ def canonical(parts: Iterable[int]) -> Partition:
     weakly decreasing.
     """
     p = tuple(parts)
+    require_ints("each partition part", p)
     for part in p:
-        if not isinstance(part, int) or isinstance(part, bool):
-            raise ValueError(f"partition parts must be integers, got {part!r}")
         if part < 0:
             raise ValueError(f"partition parts must be nonnegative, got {part}")
     for a, b in zip(p, p[1:]):

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .hookcontent import sl_key
-from .partition import Partition, canonical, weight
-
-
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+from .partition import Partition, canonical, require_ints, weight
 
 
 def _require_keys(obj, keys: set[str]) -> None:
@@ -35,7 +30,7 @@ class SLInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", canonical(self.lam))
-        _require_int("d", self.d)
+        require_ints("d", (self.d,))
         if self.d < 0:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         object.__setattr__(self, "key", sl_key(self.lam, self.d))
@@ -63,8 +58,7 @@ class PlethysmInstance:
         object.__setattr__(self, "delta", tuple(self.delta))
         if len(self.delta) != 2:
             raise ValueError(f"delta must have exactly two entries, got {self.delta}")
-        for part in self.delta:
-            _require_int("each delta entry", part)
+        require_ints("each delta entry", self.delta)
         d1, d2 = self.delta
         if not (d1 >= d2 >= 0):
             raise ValueError(f"delta must satisfy delta1 >= delta2 >= 0, got {self.delta}")

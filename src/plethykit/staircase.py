@@ -14,32 +14,27 @@ families, staircase configurations that are pairwise SL-isomorphic for
 every choice of their parameters.  Each corollary family is two main
 squares glued along two shared members.
 
-Members are built by ``_member``, which keeps its last 512 instances:
-the square with u and v swapped has the same four descriptors, and
-u = v repeats two within one square, so a sweep over a parameter grid
-asks for the same descriptor many times.  Below it the ``sl_key`` memo
-catches the other repeat, distinct descriptors of one instance.  The
-member memo matches descriptors by == and hash, under which True and
-1.0 equal 1, so every entry is checked to be an int before the lookup:
-once per call by the family builders, for their parameters, and by
-``to_instance``, for the descriptor it is given.
+Members are built through two memos of 512 entries each, one per kind
+of repeat a sweep over a parameter grid makes.  ``_member`` catches a
+repeated descriptor: the square with u and v swapped has the same four
+descriptors, and u = v repeats two within one square.  Below it the
+instance memo catches distinct descriptors of one instance: a zero
+width or height merges two blocks, so neighbouring squares share
+members written differently.  Both memos match by == and hash, under
+which True and 1.0 equal 1, so every entry is checked to be an int
+before the lookup: once per call by the family builders, for their
+parameters, and by ``to_instance``, for the descriptor it is given.
 """
 
 from functools import lru_cache, partial
 from itertools import accumulate
 
 from .errors import EmptyDiagram
-from .plethysm import SLInstance, _require_int, sl_isomorphic
+from .partition import require_ints
+from .plethysm import SLInstance, sl_isomorphic
 
 Sequence = tuple[int, ...]
 Descriptor = tuple[Sequence, Sequence]
-
-
-def _require_ints(name: str, values) -> None:
-    """Raise ValueError unless every value is an int and not a bool."""
-    for value in values:
-        if type(value) is not int:  # a plain int, the usual case, costs one call
-            _require_int(name, value)
 
 
 def to_instance(s: Descriptor) -> SLInstance:
@@ -51,19 +46,20 @@ def to_instance(s: Descriptor) -> SLInstance:
     slack are zero, since then d = -1 is undefined.
     """
     widths, heights_slack = s
-    _require_ints("each width, height and the slack", (*widths, *heights_slack))
+    require_ints("each width, height and the slack", (*widths, *heights_slack))
     return _member((tuple(widths), tuple(heights_slack)))
 
 
 @lru_cache(maxsize=512)
 def _member(s: Descriptor) -> SLInstance:
-    """``to_instance`` without the int check before the memo lookup:
-    callers check the entries first, since the memo would answer (1.0,)
-    or (True,) with the instance of (1,).  A miss makes every check."""
+    """``to_instance`` after its int check, memoized by descriptor.
+    Callers check the entries first, since the memo would answer (1.0,)
+    or (True,) with the instance of (1,).  The instance comes from the
+    instance memo, keyed by the rows with zero-length blocks left out,
+    which are the partition, and by d."""
     widths, heights_slack = s
     if len(heights_slack) != len(widths) + 1:
         raise ValueError("need exactly one more height than widths")
-    _require_ints("each width, height and the slack", (*widths, *heights_slack))
     if min(widths, default=0) < 0 or min(heights_slack) < 0:
         raise ValueError(f"widths, heights and slack must be nonnegative, got {s}")
     d = sum(heights_slack) - 1
@@ -72,8 +68,13 @@ def _member(s: Descriptor) -> SLInstance:
     rows = []
     # block 1 (the top) is the widest; zip leaves out the slack
     for length, h in zip(reversed(list(accumulate(widths))), heights_slack):
-        rows += [length] * h
-    return SLInstance(tuple(rows), d)
+        if length:
+            rows += [length] * h
+    return _instance(tuple(rows), d)
+
+
+# The instance memo: one SLInstance, and so one key, per (lambda, d).
+_instance = lru_cache(maxsize=512)(SLInstance)
 
 
 def reverse(s: Descriptor) -> Descriptor:
@@ -106,7 +107,7 @@ def main_family(x: Sequence, y: Sequence, u: int, v: int, z: int) -> list[SLInst
     Raises ValueError unless every parameter entry is an int (not a
     bool) and len(x) == len(y), and EmptyDiagram when all heights vanish.
     """
-    _require_ints("each x and y entry and u, v, z", (*x, *y, u, v, z))
+    require_ints("each x and y entry and u, v, z", (*x, *y, u, v, z))
     if len(x) != len(y):
         raise ValueError(f"len(x) = {len(x)} and len(y) = {len(y)} must be equal")
     return [_member(desc) for desc in main_square(x, y, u, v, z)]
@@ -124,7 +125,7 @@ def _corollary(square, s: int, u: int, v: int, z: int) -> list[SLInstance]:
     Raises ValueError unless s, u, v, z are ints (not bools), s >= 0 and
     u, v, z >= 1.
     """
-    _require_ints("each of s, u, v, z", (s, u, v, z))
+    require_ints("each of s, u, v, z", (s, u, v, z))
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if min(u, v, z) < 1:

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 import plethykit
-from plethykit.hookcontent import p_poly, sl_key
-from plethykit.staircase import _member
+from plethykit.hookcontent import p_poly
+from plethykit.staircase import _instance, _member
 
 from .test_cli import SL_A, SL_B, run
 from .test_readme import README
@@ -73,8 +73,8 @@ def _reached_code():
 
     codes = []
     p_poly.cache_clear()  # a cached call would not enter p_poly or its helpers
-    sl_key.cache_clear()  # nor would a remembered key enter sl_key
     _member.cache_clear()  # nor would a remembered member enter _member
+    _instance.cache_clear()  # nor would a remembered instance enter SLInstance
     sys.setprofile(profile)
     try:
         doctest_result = doctest.testfile(str(README), module_relative=False)

@@ -8,7 +8,6 @@ from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
-from plethykit.staircase import _member, to_instance
 
 from .reference import (
     ONE,
@@ -154,28 +153,6 @@ def test_sl_instance_length_is_checked_by_sl_key():
     # check is the instance's.
     with pytest.raises(LengthExceedsDimension, match=r"^\(1, 1, 1\) has more than 2 rows$"):
         SLInstance((1, 1, 1), 1)
-
-
-def test_sl_key_memo_builds_each_distinct_instance_once():
-    # Two distinct descriptors of one instance: the member memo misses
-    # on both, so the second key is the sl_key memo's hit.
-    _member.cache_clear()
-    sl_key.cache_clear()
-    instances = [to_instance(s) for s in (((2, 0), (1, 2, 1)), ((2,), (3, 1)))]
-    distinct = {(inst.lam, inst.d) for inst in instances}
-    assert len(distinct) == 1
-    info = sl_key.cache_info()
-    assert (info.misses, info.hits) == (len(distinct), len(instances) - len(distinct))
-
-
-def test_sl_key_memo_eviction_keeps_keys_exact():
-    sl_key.cache_clear()
-    asked = [(p, d) for d in range(1, 10) for n in range(10) for p in partitions_of(n, d + 1)]
-    assert len(set(asked)) > sl_key.cache_info().maxsize
-    for p, d in asked:
-        sl_key(p, d)
-    assert sl_key.cache_info().currsize == sl_key.cache_info().maxsize
-    assert [sl_key(p, d) for p, d in asked] == [sl_key.__wrapped__(p, d) for p, d in asked]
 
 
 def test_sl_key_partitions_like_p_poly_exhaustively():

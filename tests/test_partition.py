@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -37,9 +38,22 @@ def test_canonical_strips_trailing_zeros():
     assert canonical([5]) == (5,)
 
 
-@pytest.mark.parametrize("bad", [[1, 2], [3, -1], [2, 1.5], [0, 1]])
+# Each non-partition and the end of the message that names its fault.
+# True equals 1, so only the bool check stops [True] reading as (1,).
+FAULTS = [
+    ([1, 2], "weakly decreasing, got (1, 2)"),
+    ([3, -1], "nonnegative, got -1"),
+    ([2, 1.5], "must be an integer, got 1.5"),
+    ([0, 1], "weakly decreasing, got (0, 1)"),
+    ([True], "must be an integer, got True"),
+    ([2, True], "must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("bad", [bad for bad, _ in FAULTS])
 def test_canonical_rejects_non_partitions(bad):
-    with pytest.raises(ValueError):
+    fault = next(fault for p, fault in FAULTS if p is bad)
+    with pytest.raises(ValueError, match=re.escape(fault) + "$"):
         canonical(bad)
 
 

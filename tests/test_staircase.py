@@ -1,16 +1,19 @@
 import hashlib
+import inspect
+import json
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plethykit import plethysm
+from plethykit import plethysm, staircase
 from plethykit.errors import EmptyDiagram
 from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
     FAMILIES,
+    _instance,
     _member,
     main_family,
     main_square,
@@ -68,6 +71,7 @@ COERCED = [
 )
 def test_bool_and_float_entries_are_rejected(coerced, equal_int, entry, cached):
     _member.cache_clear()
+    _instance.cache_clear()
     if cached:
         equal_int()
     with pytest.raises(ValueError, match=f"must be an integer, {entry}$"):
@@ -82,19 +86,41 @@ def test_member_memo_catches_repeated_descriptors():
     assert (info.misses, info.hits) == (2, 2)
 
 
-def test_member_memo_eviction_keeps_instances_exact():
+def test_instance_memo_builds_each_distinct_instance_once():
+    # Distinct descriptors of one instance: the member memo misses on
+    # each, so every repeat of a (lambda, d) is the instance memo's hit.
+    # The second pair differs only by a zero-length block, which the
+    # memo's key leaves out.
     _member.cache_clear()
+    _instance.cache_clear()
+    asked = (((2, 0), (1, 2, 1)), ((2,), (3, 1)), ((0, 2), (1, 2, 1)), ((2,), (1, 3)))
+    instances = [to_instance(s) for s in asked]
+    distinct = {(inst.lam, inst.d) for inst in instances}
+    assert len(distinct) == 2
+    info = _instance.cache_info()
+    assert (info.misses, info.hits) == (len(distinct), len(instances) - len(distinct))
+
+
+def test_member_memo_eviction_keeps_instances_exact(monkeypatch):
+    # More distinct descriptors, and more distinct instances, than
+    # either memo holds.
+    _member.cache_clear()
+    _instance.cache_clear()
     asked = [
         ((w1, w2), (h1, h2, s))
         for w1, w2 in product(range(5), repeat=2)
-        for h1, h2, s in product(range(3), repeat=3)
+        for h1, h2, s in product(range(4), repeat=3)
         if h1 + h2 + s
     ]
     assert len(set(asked)) > _member.cache_info().maxsize
     for s in asked:
         to_instance(s)
     assert _member.cache_info().currsize == _member.cache_info().maxsize
+    assert _instance.cache_info().currsize == _instance.cache_info().maxsize
     again = [to_instance(s) for s in asked]
+    assert len({(inst.lam, inst.d) for inst in again}) > _instance.cache_info().maxsize
+    assert [inst.key for inst in again] == [sl_key(inst.lam, inst.d) for inst in again]
+    monkeypatch.setattr(staircase, "_instance", SLInstance)  # past both memos
     fresh = [_member.__wrapped__(s) for s in asked]
     assert [(inst, inst.key) for inst in again] == [(inst, inst.key) for inst in fresh]
 
@@ -363,11 +389,21 @@ def test_corollary_parameter_validation(bad):
 
 def test_every_family_kind_has_a_parser():
     # The family parser is generated from FAMILIES, so a new row is a
-    # new ``family KIND`` command.
-    for kind in FAMILIES:
+    # new ``family KIND`` command, whose options are its builder's
+    # parameters in signature order.
+    for kind, build in FAMILIES.items():
         result = run("family", kind, "--help")
         assert result.exit_code == 0, kind
         assert result.stdout.startswith(f"usage: plethykit family {kind} "), result.stdout
+        usage = result.stdout.split("\n\n")[0].split()
+        options = [word.strip("[]") for word in usage if word.startswith(("--", "[--"))]
+        assert options == [f"--{name}" for name in inspect.signature(build).parameters], kind
+    # A Sequence parameter is a repeatable option: an annotation read as
+    # a string would make --x a required int that keeps its last value.
+    result = run("family", "main", "--x", "1", "--x", "0", "--y", "1", "--y", "2", "--u", "1", "--v", "1", "--z", "1")
+    assert result.exit_code == 0, result.stderr
+    members = [SLInstance.from_json(obj) for obj in json.loads(result.stdout)["instances"]]
+    assert members == main_family((1, 0), (1, 2), 1, 1, 1)
 
 
 def test_pairwise_sl_isomorphic_basics(monkeypatch):
@@ -392,6 +428,7 @@ def test_pairwise_sl_isomorphic_basics(monkeypatch):
 
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
     _member.cache_clear()  # a remembered member would build no key
+    _instance.cache_clear()  # nor would a remembered instance
     family = main_family((), (), 2, 3, 1)
     assert pairwise_sl_isomorphic(family)
     assert len(built) == 4
