@@ -8,6 +8,7 @@ from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
+from plethykit.staircase import _instance
 
 from .reference import (
     ONE,
@@ -153,6 +154,20 @@ def test_sl_instance_length_is_checked_by_sl_key():
     # check is the instance's.
     with pytest.raises(LengthExceedsDimension, match=r"^\(1, 1, 1\) has more than 2 rows$"):
         SLInstance((1, 1, 1), 1)
+
+
+def test_sl_key_memo_eviction_keeps_keys_exact():
+    # sl_key is a pure kernel; its keys are memoized by the staircase
+    # instance memo, which must hand back exact keys after it evicts.
+    _instance.cache_clear()
+    asked = [(p, d) for d in range(1, 10) for n in range(10) for p in partitions_of(n, d + 1)]
+    assert len(set(asked)) > _instance.cache_info().maxsize
+    for p, d in asked:
+        _instance(p, d)
+    assert _instance.cache_info().currsize == _instance.cache_info().maxsize
+    again = [_instance(p, d) for p, d in asked]
+    assert [inst.key for inst in again] == [sl_key(p, d) for p, d in asked]
+    assert again == [SLInstance(p, d) for p, d in asked]
 
 
 def test_sl_key_partitions_like_p_poly_exhaustively():
