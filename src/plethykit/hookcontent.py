@@ -18,8 +18,11 @@ read through ``SLInstance.key``; ``expand`` turns a key into its printed
 form, the polynomial, only where one is shown or compared as one, and
 ``p_poly`` is that expansion for a (p, d) not yet keyed.
 
-``sl_key`` is a pure kernel with no memo: a caller whose traffic
-repeats an instance memoizes it, as ``staircase`` does.  ``p_poly`` is
+``sl_key`` keeps no key: a caller whose traffic repeats an instance
+memoizes it, as ``staircase`` does.  It splits into a d-free count of
+the partition's hooks and contents, memoized for one partition, and a
+cheap merge per d, so a caller that asks for every d of a partition in
+a row, as ``search`` does, counts each partition once.  ``p_poly`` is
 memoized.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
@@ -32,10 +35,11 @@ coefficient array, which keeps the large staircase instances cheap.
 """
 
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count
+from operator import add, sub
 
 from .errors import InexactDivision, LengthExceedsDimension
-from .partition import Partition
+from .partition import Partition, canonical
 
 
 def _times_one_minus(f: list[int], a: int) -> list[int]:
@@ -62,6 +66,42 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     if any(out[len(f) - b:]):
         raise InexactDivision(f"(1 - q^{b}) does not divide exactly")
     return out[: len(f) - b]
+
+
+@lru_cache(maxsize=1)
+def _block_counts(p: Partition) -> tuple[int, list[int]]:
+    """The d-free half of ``sl_key``: (m, counts) for a nonempty p, with
+    m = p[0] + len(p).  counts[n] is minus the number of hooks equal to
+    n, for 0 <= n < m, and counts[m + o] is the number of cells with
+    content offset o = c(u) + len(p) - 1, for 0 <= o <= m.
+
+    The memo holds one partition: ``search`` asks for every d of a
+    partition in a row, and callers never mutate the list.
+    """
+    m = p[0] + len(p)
+    parts, bottoms = [], []  # L_k and R_k
+    for i, part in enumerate(p, start=1):
+        if parts and parts[-1] == part:
+            bottoms[-1] = i
+        else:
+            parts.append(part)
+            bottoms.append(i)
+    heights = list(map(sub, bottoms, [0] + bottoms))
+    widths = list(map(sub, parts, parts[1:] + [0]))
+    diff = [0] * (2 * m + 1)
+    for k, (L, h, R) in enumerate(zip(parts, heights, bottoms)):
+        low = m + len(p) - R
+        diff[low] += 1
+        diff[low + h] -= 1
+        diff[low + L] -= 1
+        diff[low + h + L] += 1
+        for l in range(k, len(parts)):
+            low, w = L - parts[l] + bottoms[l] - R + 1, widths[l]
+            diff[low] -= 1
+            diff[low + h] += 1
+            diff[low + w] += 1
+            diff[low + h + w] -= 1
+    return m, list(accumulate(accumulate(diff)))
 
 
 def sl_key(p: Partition, d: int) -> tuple[int, ...]:
@@ -97,13 +137,16 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     function q^low (1 - q^h)(1 - q^w) / (1 - q)^2.  So a content
     rectangle adds +1, -1, -1, +1 at low, low+h, low+w, low+h+w of a
     second-difference array, a hook rectangle adds the negatives, and
-    two prefix sums leave c_n in the slot of n.  Hooks lie in 1, ...,
-    L_1 + len(p) - 1 and contents in d+2-len(p), ..., d+L_1.  With
-    size = L_1 + len(p) + 2 and split = min(d+2-len(p), size), slot j
-    stands for n = j below split and for n = j + d+2-len(p) - split from
-    split on: one range when the two overlap, the hooks and then the
-    contents when they do not.  The array has at most 2 * size slots, so
-    the cost is O(r^2 + L_1 + len(p)) time and memory, whatever d is.
+    two prefix sums leave the counts.  With m = L_1 + len(p), hooks lie
+    in 1, ..., m-1 and contents in first, ..., first+m-2, where
+    first = d+2-len(p): only the contents depend on d, and only by that
+    shift.  So ``_block_counts`` counts once per partition, in one array,
+    the negated hooks in slots 0..m-1 and the contents by offset from
+    slot m on, and the key for each d merges the two halves: when
+    first >= m the ranges are disjoint and the halves are read as they
+    are, otherwise the contents are added to the hooks from slot first
+    on.  The counts take O(r^2 + L_1 + len(p)) time and memory once per
+    partition, and each merge O(L_1 + len(p)), whatever d is.
 
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
@@ -111,35 +154,20 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     if not p:
         return ()
-    parts, bottoms = [], []  # L_k and R_k
-    for i, part in enumerate(p, start=1):
-        if parts and parts[-1] == part:
-            bottoms[-1] = i
-        else:
-            parts.append(part)
-            bottoms.append(i)
-    heights = [bottom - top for top, bottom in zip([0] + bottoms, bottoms)]
-    widths = [part - below for part, below in zip(parts, parts[1:] + [0])]
-    first_content = d + 2 - len(p)
-    size = p[0] + len(p) + 2
-    split = min(first_content, size)
-    diff = [0] * (split + size)
-    for k, (L, h, R) in enumerate(zip(parts, heights, bottoms)):
-        low = split + len(p) - R
-        diff[low] += 1
-        diff[low + h] -= 1
-        diff[low + L] -= 1
-        diff[low + h + L] += 1
-        for l in range(k, len(parts)):
-            low, w = L - parts[l] + bottoms[l] - R + 1, widths[l]
-            diff[low] -= 1
-            diff[low + h] += 1
-            diff[low + w] += 1
-            diff[low + h + w] -= 1
-    counts = list(accumulate(accumulate(diff)))
-    hooks, contents = enumerate(counts[:split]), enumerate(counts[split:], first_content)
-    # From a list: tuple() over a generator raised the squares loop's peak RSS by 7%.
-    return tuple([x for n, c in chain(hooks, contents) if c for x in (n, c)])
+    m, counts = _block_counts(p)
+    first = d + 2 - len(p)
+    if first >= m:
+        ns = chain(range(m), count(first))
+    else:
+        counts = counts[:first] + list(map(add, counts[first:m], counts[m:])) + counts[2 * m - first :]
+        ns = count()
+    # Interleaved by slice assignment: zip, compress and chain over every
+    # slot took 1.45x as long, which showed on the squares job, where almost
+    # every partition is counted anew.
+    nonzero = list(compress(ns, counts))
+    key = nonzero * 2
+    key[::2], key[1::2] = nonzero, filter(None, counts)
+    return tuple(key)
 
 
 def expand(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -162,6 +190,7 @@ def expand(key: tuple[int, ...]) -> tuple[int, ...]:
 def p_poly(p: Partition, d: int) -> tuple[int, ...]:
     """P^d_p = C^d_p / H_p, the expansion of sl_key(p, d).
 
-    Raises LengthExceedsDimension unless length(p) <= d+1.
+    Raises ValueError unless p is a partition (trailing zeros allowed),
+    and LengthExceedsDimension unless length(p) <= d+1.
     """
-    return expand(sl_key(p, d))
+    return expand(sl_key(canonical(p), d))

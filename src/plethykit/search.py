@@ -41,13 +41,18 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     polynomial expanded once from its first member's key, sorted by P's length
     (its degree plus one) and then lexicographically by P's coefficients.
 
+    The partition is the outer loop and d the inner one, so the d-free
+    half of ``sl_key``, memoized for one partition, counts each
+    partition's hooks and contents once for all its d.  The order does
+    not reach the output: members and classes are sorted after grouping.
+
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
     count = 0
     groups: dict[tuple[int, ...], list[SLInstance]] = {}
-    for d in range(1, max_d + 1):
-        for n in range(1, max_weight + 1):
-            for lam in partitions_of(n, d):
+    for n in range(1, max_weight + 1):
+        for lam in partitions_of(n, max_d):
+            for d in range(len(lam), max_d + 1):
                 count += 1
                 if count > INSTANCE_CAP:
                     raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")

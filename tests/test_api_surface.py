@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import plethykit
-from plethykit.hookcontent import p_poly
+from plethykit.hookcontent import _block_counts, p_poly
 from plethykit.staircase import _instance, _member
 
 from .test_cli import SL_A, SL_B, run
@@ -73,6 +73,7 @@ def _reached_code():
 
     codes = []
     p_poly.cache_clear()  # a cached call would not enter p_poly or its helpers
+    _block_counts.cache_clear()  # nor would a remembered partition enter _block_counts
     _member.cache_clear()  # nor would a remembered member enter _member
     _instance.cache_clear()  # nor would a remembered instance enter SLInstance
     sys.setprofile(profile)

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _over_one_minus, _times_one_minus, p_poly, sl_key
+from plethykit.hookcontent import (
+    _block_counts,
+    _over_one_minus,
+    _times_one_minus,
+    p_poly,
+    sl_key,
+)
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.staircase import _instance
@@ -95,6 +101,7 @@ def test_p_poly_known_values():
     assert p_poly((2,), 3) == (1, 1, 2, 2, 2, 1, 1)
     assert p_poly((1, 1), 3) == (1, 1, 2, 1, 1)
     assert p_poly((2, 1), 1) == (1, 1)
+    assert p_poly((2, 0), 2) == p_poly((2,), 2)  # trailing zeros are stripped
     with pytest.raises(LengthExceedsDimension):
         p_poly((2, 2, 2), 1)
 
@@ -157,7 +164,7 @@ def test_sl_instance_length_is_checked_by_sl_key():
 
 
 def test_sl_key_memo_eviction_keeps_keys_exact():
-    # sl_key is a pure kernel; its keys are memoized by the staircase
+    # sl_key keeps no key; its keys are memoized by the staircase
     # instance memo, which must hand back exact keys after it evicts.
     _instance.cache_clear()
     asked = [(p, d) for d in range(1, 10) for n in range(10) for p in partitions_of(n, d + 1)]
@@ -201,6 +208,43 @@ def test_sl_key_matches_per_cell_key_exhaustively():
     assert len(instances) == 4564
     for p, d in instances:
         assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+def test_sl_key_matches_per_cell_key_around_the_branch_point():
+    # The contents start at n = d+2-len(p) and the hooks end below
+    # n = p[0]+len(p), so the two ranges stop overlapping at
+    # d = p[0] + 2*len(p) - 2: every |p| <= 10 and every d within 2 of
+    # that point, on both branches of the merge and where they meet.
+    instances = [
+        (p, d)
+        for n in range(1, 11)
+        for p in partitions_of(n, n)
+        for branch in [p[0] + 2 * len(p) - 2]
+        for d in range(max(len(p) - 1, branch - 2), branch + 3)
+    ]
+    assert len(instances) == 689
+    for p, d in instances:
+        assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+@given(
+    st.lists(partitions(max_weight=8), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12)), min_size=1, max_size=12),
+)
+def test_sl_key_memo_never_serves_another_partition(shapes, asks):
+    # sl_key counts each partition once and keeps the last one's counts:
+    # repeated and alternating partitions must each get their own.
+    _block_counts.cache_clear()
+    for i, extra in asks:
+        p = shapes[i % len(shapes)]
+        d = max(len(p) - 1, 0) + extra
+        assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+@pytest.mark.parametrize("p", [(1, 2), (-1,), (0, 1), (2, 1.5)])
+def test_p_poly_rejects_non_partitions(p):
+    with pytest.raises(ValueError):
+        p_poly(p, 2)
 
 
 @st.composite

@@ -112,6 +112,16 @@ def test_instances_are_grouped_by_their_own_key(monkeypatch):
     assert sorted(built) == sorted(instances)
 
 
+def test_each_partition_is_counted_once():
+    # d is the inner loop, so the one-partition memo behind sl_key counts
+    # each of the 28 partitions once and serves its other d: 97 instances.
+    hookcontent._block_counts.cache_clear()
+    enumerate_classes(6, 5)
+    info = hookcontent._block_counts.cache_info()
+    assert (info.misses, info.hits) == (28, 69)
+    assert info.currsize == 1  # only the last partition's counts stay alive
+
+
 def test_enumeration_memory_stays_small():
     # Every enumerated instance keeps its key until the classes are built,
     # so the key's container bounds how far search can go.  The flat-tuple
