@@ -117,7 +117,7 @@ def oracle_check(args) -> int:
     for n in range(1, args.max_weight + 1):
         for lam in partitions_of(n, n):
             for d in range(len(lam) - 1, args.max_d + 1):
-                expected = (0,) * b_statistic(lam) + p_poly(lam, d)
+                expected = (0,) * b_statistic(lam) + p_poly(SLInstance(lam, d).key)
                 if args.inject_fault:  # expected + q, the pad kept only if q is the new top
                     coeffs = [*expected, 0]
                     coeffs[1] += 1

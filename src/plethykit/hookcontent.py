@@ -14,16 +14,16 @@ block of equal rows for the contents and one per (row block, column
 block) pair for the hooks, so its cost grows with the number of
 distinct parts and the diagram's width and height, not with the cell
 count or with d.  Instances are compared and grouped by their keys,
-read through ``SLInstance.key``; ``expand`` turns a key into its printed
-form, the polynomial, only where one is shown or compared as one, and
-``p_poly`` is that expansion for a (p, d) not yet keyed.
+read through ``SLInstance.key``, the one parser of (p, d); ``p_poly``
+turns a key into its printed form, the polynomial, only where one is
+shown or compared as one.
 
 ``sl_key`` keeps no key: a caller whose traffic repeats an instance
 memoizes it, as ``staircase`` does.  It splits into a d-free count of
 the partition's hooks and contents, memoized for one partition, and a
 cheap merge per d, so a caller that asks for every d of a partition in
 a row, as ``search`` does, counts each partition once.  ``p_poly`` is
-memoized.
+memoized by key, so SL-isomorphic instances share one expansion.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are
@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, count
 from operator import add, sub
 
 from .errors import InexactDivision, LengthExceedsDimension
-from .partition import Partition, canonical
+from .partition import Partition
 
 
 def _times_one_minus(f: list[int], a: int) -> list[int]:
@@ -148,7 +148,10 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     on.  The counts take O(r^2 + L_1 + len(p)) time and memory once per
     partition, and each merge O(L_1 + len(p)), whatever d is.
 
-    Raises LengthExceedsDimension unless length(p) <= d+1.
+    The unchecked kernel of ``SLInstance``, its one caller in the
+    package and the one parser of (p, d): p must already be a canonical
+    partition and d a nonnegative int.  Raises LengthExceedsDimension
+    unless length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
@@ -170,10 +173,13 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-def expand(key: tuple[int, ...]) -> tuple[int, ...]:
+@lru_cache(maxsize=8192)
+def p_poly(key: tuple[int, ...]) -> tuple[int, ...]:
     """P = prod [n]^{c_n} as an exact integer polynomial, from its key
-    (n_1, c_1, n_2, c_2, ...) as ``sl_key`` returns it: its coefficient
-    tuple, indexed by exponent, ending in the leading coefficient.
+    (n_1, c_1, n_2, c_2, ...) as ``SLInstance.key`` holds it: its
+    coefficient tuple, indexed by exponent, ending in the leading
+    coefficient.  Memoized by key, so SL-isomorphic instances share one
+    expansion.
 
     All multiplications by (1 - q^n) happen before any division, each
     group in increasing n, so every intermediate division stays exact.
@@ -184,13 +190,3 @@ def expand(key: tuple[int, ...]) -> tuple[int, ...]:
         for _ in range(abs(c)):
             f = step(f, n)
     return tuple(f)
-
-
-@lru_cache(maxsize=8192)
-def p_poly(p: Partition, d: int) -> tuple[int, ...]:
-    """P^d_p = C^d_p / H_p, the expansion of sl_key(p, d).
-
-    Raises ValueError unless p is a partition (trailing zeros allowed),
-    and LengthExceedsDimension unless length(p) <= d+1.
-    """
-    return expand(sl_key(canonical(p), d))

@@ -3,7 +3,7 @@
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
 <= max_d are grouped by ``SLInstance.key``, the complete SL-isomorphism
 invariant that ``sl_isomorphic`` compares; the class's P polynomial,
-a coefficient tuple as ``expand`` returns it, is the key's printed form
+a coefficient tuple as ``p_poly`` returns it, is the key's printed form
 and is expanded once per reported class from the key its members hold.
 Classes with at least two members are reported, and each member pair
 is labelled, in O(1) from its weights and degrees, by how (or whether)
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
-from .hookcontent import expand
+from .hookcontent import p_poly
 from .partition import partitions_of, weight
 from .plethysm import SLInstance
 from .twist import nu2_obstruction
@@ -62,7 +62,7 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     for members in groups.values():
         if len(members) >= 2:
             members.sort(key=lambda i: (i.d, i.lam))
-            classes.append(EquivalenceClass(expand(members[0].key), tuple(members)))
+            classes.append(EquivalenceClass(p_poly(members[0].key), tuple(members)))
     classes.sort(key=lambda c: (len(c.poly), c.poly))
     return classes
 

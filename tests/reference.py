@@ -1,6 +1,9 @@
 """Slow, independent reference implementations the tests compare
 plethykit against.  The package itself calls none of them.
 
+* ``p_of``: P^d_p the one way the package reaches it, ``p_poly`` of
+  ``SLInstance(p, d).key``, so a test asks for P by (p, d) through the
+  one parser of (p, d).
 * ``mul``, ``exact_div``, ``q_analog`` and ``ONE``: schoolbook ring
   operations on coefficient tuples, the product/quotient reference for
   ``p_poly`` (which works through (1 - q^n) passes instead);
@@ -36,6 +39,11 @@ Cell = tuple[int, int]
 Poly = tuple[int, ...]
 
 ONE: Poly = (1,)
+
+
+def p_of(p, d) -> Poly:
+    """P^d_p, expanded from the key of ``SLInstance(p, d)``."""
+    return p_poly(SLInstance(p, d).key)
 
 
 def trim(coeffs) -> Poly:
@@ -213,7 +221,7 @@ def character_data(inst: PlethysmInstance) -> CharacterData:
     return CharacterData(
         weight_exponents=(w * inst.delta[0], w * inst.delta[1]),
         b_shift=b_statistic(inst.lam),
-        p=p_poly(inst.lam, inst.sl.d),
+        p=p_poly(inst.sl.key),
     )
 
 

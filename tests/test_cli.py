@@ -9,6 +9,7 @@ import pytest
 from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
 from plethykit.errors import ConsistencyError, InexactDivision
+from plethykit.hookcontent import p_poly
 from plethykit.oracle import specialize_ssyt
 
 from .reference import ONE
@@ -325,6 +326,16 @@ def test_oracle_check_shares_one_tableau_memo(monkeypatch):
     assert all(memo is memos[0] for memo in memos)
 
 
+def test_oracle_check_expands_p_once_per_key():
+    # The hook-content route expands P from each instance's SLInstance.key,
+    # so SL-isomorphic instances share one expansion: 519 instances, 296 keys.
+    p_poly.cache_clear()
+    result = run("oracle-check", "--max-weight", "9", "--max-d", "7")
+    assert lines(result) == [{"agree": True, "instances": 519}]
+    info = p_poly.cache_info()
+    assert (info.misses, info.hits) == (296, 223)
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc("injected")
@@ -342,7 +353,7 @@ FAMILY_MAIN = ("family", "main", "--x", "1", "--y", "1", "--u", "2", "--v", "1",
         (staircase, "sl_isomorphic", ConsistencyError, FAMILY_MAIN),
         (staircase, "_member", MemoryError, FAMILY_MAIN),
         (twist, "sl_isomorphic", ConsistencyError, ("twist", SL_A, SL_B)),
-        (search, "expand", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
+        (search, "p_poly", InexactDivision, ("search", "--max-weight", "3", "--max-d", "3")),
         (cli, "specialize_bialternant", InexactDivision, ("oracle-check", "--max-weight", "2", "--max-d", "2")),
     ],
     ids=["verify", "family", "family-memory", "twist", "search", "oracle-check"],

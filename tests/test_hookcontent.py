@@ -27,6 +27,7 @@ from .reference import (
     hook_length,
     key_pairs,
     mul,
+    p_of,
     per_cell_key,
     q_analog,
 )
@@ -43,15 +44,15 @@ def _analog_product(values):
 def test_hook_poly_known_values():
     # The hook product H_p = prod [h(u)] is what P divides out of the
     # content product: P^d_p * H_p = C^d_p.
-    assert p_poly((), 2) == ONE
-    assert p_poly((1,), 0) == ONE
+    assert p_of((), 2) == ONE
+    assert p_of((1,), 0) == ONE
     # hooks of (2,) and of (1, 1) are {2, 1}; contents at d = 1 are
     # {2, 3} and {2, 1}
-    assert mul(p_poly((2,), 1), q_analog(2)) == _analog_product([2, 3])
-    assert mul(p_poly((1, 1), 1), q_analog(2)) == q_analog(2)
+    assert mul(p_of((2,), 1), q_analog(2)) == _analog_product([2, 3])
+    assert mul(p_of((1, 1), 1), q_analog(2)) == q_analog(2)
     # hooks of (2, 2) are {3, 2, 2, 1}; contents at d = 2 are {3, 4, 2, 3}
     hooks = _analog_product([3, 2, 2])
-    assert mul(p_poly((2, 2), 2), hooks) == _analog_product([3, 4, 2, 3])
+    assert mul(p_of((2, 2), 2), hooks) == _analog_product([3, 4, 2, 3])
 
 
 @given(partitions(max_weight=12))
@@ -63,7 +64,7 @@ def test_hook_poly_is_the_analog_product_of_hooks(p):
     assert hooks == _analog_product(hook_length(conj, u) for u in cells(conj))
     for d in (max(len(p) - 1, 0), len(p) + 2):
         contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
-        assert exact_div(contents, p_poly(p, d)) == hooks
+        assert exact_div(contents, p_of(p, d)) == hooks
 
 
 def test_over_one_minus_divides_exactly_or_raises():
@@ -86,34 +87,34 @@ def test_over_one_minus_divides_exactly_or_raises():
 
 def test_content_poly_known_values():
     # C^d_p = prod [d+1+c(u)] is P^d_p times the hook product.
-    assert p_poly((1,), 5) == q_analog(6)
+    assert p_of((1,), 5) == q_analog(6)
     # contents of (2,) are {0,1}: [4]*[5]
-    assert mul(p_poly((2,), 3), q_analog(2)) == _analog_product([4, 5])
+    assert mul(p_of((2,), 3), q_analog(2)) == _analog_product([4, 5])
     # contents of (1,1) are {0,-1}: [4]*[3]
-    assert mul(p_poly((1, 1), 3), q_analog(2)) == _analog_product([4, 3])
+    assert mul(p_of((1, 1), 3), q_analog(2)) == _analog_product([4, 3])
     with pytest.raises(LengthExceedsDimension):
-        p_poly((1, 1, 1), 1)
+        p_of((1, 1, 1), 1)
 
 
 def test_p_poly_known_values():
-    assert p_poly((), 4) == ONE
-    assert p_poly((1,), 3) == q_analog(4)
-    assert p_poly((2,), 3) == (1, 1, 2, 2, 2, 1, 1)
-    assert p_poly((1, 1), 3) == (1, 1, 2, 1, 1)
-    assert p_poly((2, 1), 1) == (1, 1)
-    assert p_poly((2, 0), 2) == p_poly((2,), 2)  # trailing zeros are stripped
+    assert p_of((), 4) == ONE
+    assert p_of((1,), 3) == q_analog(4)
+    assert p_of((2,), 3) == (1, 1, 2, 2, 2, 1, 1)
+    assert p_of((1, 1), 3) == (1, 1, 2, 1, 1)
+    assert p_of((2, 1), 1) == (1, 1)
+    assert p_of((2, 0), 2) == p_of((2,), 2)  # trailing zeros are stripped
     with pytest.raises(LengthExceedsDimension):
-        p_poly((2, 2, 2), 1)
+        p_of((2, 2, 2), 1)
 
 
 def test_dimension_known_values():
     # P at q = 1 is dim S_p(C^{d+1}).
-    assert sum(p_poly((2,), 3)) == 10
-    assert sum(p_poly((1, 1), 3)) == 6
-    assert sum(p_poly((), 7)) == 1
-    assert sum(p_poly((1, 1, 1), 2)) == 1
+    assert sum(p_of((2,), 3)) == 10
+    assert sum(p_of((1, 1), 3)) == 6
+    assert sum(p_of((), 7)) == 1
+    assert sum(p_of((1, 1, 1), 2)) == 1
     for d in range(6):
-        assert sum(p_poly((1,), d)) == d + 1
+        assert sum(p_of((1,), d)) == d + 1
 
 
 def test_single_rows_are_gaussian_binomials():
@@ -123,21 +124,21 @@ def test_single_rows_are_gaussian_binomials():
             nums = list(range(m + 1, m + d + 1))
             dens = list(range(1, d + 1))
             expected = exact_div(_analog_product(nums), _analog_product(dens))
-            assert p_poly((m,), d) == expected
+            assert p_of((m,), d) == expected
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))
 def test_p_poly_divides_content_by_hooks_exactly(p, d):
     if len(p) > d + 1:
         with pytest.raises(LengthExceedsDimension):
-            p_poly(p, d)
+            p_of(p, d)
         with pytest.raises(LengthExceedsDimension):
             sl_key(p, d)
         return
     contents = _analog_product(d + 1 + content(p, u) for u in cells(p))
     hooks = _analog_product(hook_length(p, u) for u in cells(p))
     expected = exact_div(contents, hooks)
-    assert p_poly(p, d) == expected
+    assert p_of(p, d) == expected
     # The key is P's factorization into q-integers: prod [n]^{c_n}.
     key = key_pairs(sl_key(p, d))
     above = _analog_product(n for n, c in key for _ in range(c))
@@ -189,7 +190,7 @@ def test_sl_key_partitions_like_p_poly_exhaustively():
     by_key, by_poly = {}, {}
     for p, d in instances:
         by_key.setdefault(sl_key(p, d), set()).add((p, d))
-        by_poly.setdefault(canonical_poly(p_poly(p, d)), set()).add((p, d))
+        by_poly.setdefault(canonical_poly(p_of(p, d)), set()).add((p, d))
     assert len(instances) == 2052
     assert len(by_key) == len(by_poly) == 1341
     classes = {frozenset(members) for members in by_key.values()}
@@ -241,10 +242,14 @@ def test_sl_key_memo_never_serves_another_partition(shapes, asks):
         assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
 
 
-@pytest.mark.parametrize("p", [(1, 2), (-1,), (0, 1), (2, 1.5)])
-def test_p_poly_rejects_non_partitions(p):
+@pytest.mark.parametrize("p", [(1, 2), (-1,), (0, 1), (2, 1.5), (True,)])
+def test_sl_instance_rejects_non_partitions(p):
+    # SLInstance is the one parser of (p, d) and p_poly takes its key, so
+    # no P is reached from a non-partition.  (True,) is asked after (1,)
+    # is built and its P expanded: no memo may answer for the equal (1,).
+    p_poly(SLInstance((1,), 2).key)
     with pytest.raises(ValueError):
-        p_poly(p, 2)
+        SLInstance(p, 2)
 
 
 @st.composite
@@ -284,14 +289,14 @@ def test_equal_keys_iff_equal_p_poly(a, b, mirror):
     # Mirroring b onto the box complement of a makes equal pairs common.
     if mirror:
         b = (complement(a[0], a[1] + 1), a[1])
-    assert (sl_key(*a) == sl_key(*b)) == (p_poly(*a) == p_poly(*b))
+    assert (sl_key(*a) == sl_key(*b)) == (p_of(*a) == p_of(*b))
 
 
 @given(partitions(max_weight=10), st.integers(0, 8))
 def test_p_poly_shape_invariants(p, d):
     if len(p) > d + 1:
         return
-    f = p_poly(p, d)
+    f = p_of(p, d)
     assert f[0] == 1
     assert f == f[::-1]
     assert len(f) - 1 == weight(p) * d - 2 * b_statistic(p)
@@ -303,7 +308,7 @@ def test_p_poly_complement_symmetry(p, d):
     # Complementing inside a (d+1)-row box leaves P unchanged.
     if len(p) > d + 1:
         return
-    assert p_poly(complement(p, d + 1), d) == p_poly(p, d)
+    assert p_of(complement(p, d + 1), d) == p_of(p, d)
 
 
 def test_dimension_matches_weyl_formula():
@@ -315,16 +320,16 @@ def test_dimension_matches_weyl_formula():
                 for j in range(1, row + 1):
                     num *= d + 1 + (j - i)
                     den *= hook_length(p, (i, j))
-            assert sum(p_poly(p, d)) == num // den
+            assert sum(p_of(p, d)) == num // den
             assert num % den == 0
 
 
 def test_degree_formula_known_values():
     # deg P^d_p = |p|*d - 2*b(p)
-    assert len(p_poly((2,), 3)) - 1 == 6
-    assert len(p_poly((1, 1), 3)) - 1 == 4
-    assert len(p_poly((2, 2), 2)) - 1 == 4
-    assert len(p_poly((), 5)) - 1 == 0
+    assert len(p_of((2,), 3)) - 1 == 6
+    assert len(p_of((1, 1), 3)) - 1 == 4
+    assert len(p_of((2, 2), 2)) - 1 == 4
+    assert len(p_of((), 5)) - 1 == 0
 
 
 @pytest.mark.parametrize(
@@ -340,18 +345,21 @@ def test_degree_formula_known_values():
 )
 def test_sporadic_pairs_no_family_explains(a, b):
     assert sl_key(*a) == sl_key(*b)
-    assert p_poly(*a) == p_poly(*b)
+    assert p_of(*a) == p_of(*b)
     assert sl_isomorphic(SLInstance(*a), SLInstance(*b))
 
 
 def test_p_poly_cache_returns_equal_objects():
-    assert p_poly((3, 1), 4) is p_poly((3, 1), 4)
+    # Keyed by the invariant, the cache shares one expansion across
+    # SL-isomorphic instances: (2,) at d = 1 and (1,) at d = 2 are both
+    # 1 + q + q^2.
+    assert p_poly(SLInstance((2,), 1).key) is p_poly(SLInstance((1,), 2).key)
 
 
 def test_hook_content_handles_large_staircase_shapes():
     # A shape of the size the staircase families produce.
     p = (9, 9, 5, 5, 5, 5, 3, 3, 3, 3)
-    f = p_poly(p, 9)
+    f = p_of(p, 9)
     assert f[0] == 1
     assert f == f[::-1]
     assert len(f) - 1 == weight(p) * 9 - 2 * b_statistic(p)

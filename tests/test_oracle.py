@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import LengthExceedsDimension
-from plethykit.hookcontent import p_poly
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, partitions_of, weight
 
-from .reference import ONE, canonical_poly, complement, q_analog, trim
+from .reference import ONE, canonical_poly, complement, p_of, q_analog, trim
 from .test_partition import partitions
 
 
@@ -148,7 +147,7 @@ def test_ssyt_past_the_old_budget():
     # (6, 6) has 32,821,152 fillings with entries <= 13: too many to visit
     # one at a time, so the route must count them without enumerating.
     f = specialize_ssyt((6, 6), 12)
-    assert f == (0,) * b_statistic((6, 6)) + p_poly((6, 6), 12)
+    assert f == (0,) * b_statistic((6, 6)) + p_of((6, 6), 12)
     assert sum(f) == 32_821_152
 
 
@@ -160,7 +159,7 @@ def test_routes_agree_and_match_hook_content(p, d):
     direct = specialize_bialternant(p, d)
     assert direct == specialize_ssyt(p, d)
     # The specialization is q^b(p) times the hook-content polynomial.
-    assert direct == (0,) * b_statistic(p) + p_poly(p, d)
+    assert direct == (0,) * b_statistic(p) + p_of(p, d)
 
 
 @given(partitions(max_weight=8, max_parts=4), st.integers(0, 5))

@@ -57,6 +57,15 @@ def test_canonical_rejects_non_partitions(bad):
         canonical(bad)
 
 
+def test_canonical_accepts_int_subclasses_other_than_bool():
+    # The check rejects bool, not every subclass of int: a part that is
+    # an int and not a bool passes, whatever its type.
+    class Part(int):
+        pass
+
+    assert canonical([Part(2), Part(1), Part(0)]) == (2, 1)
+
+
 def test_weight_and_conjugate_known_values():
     assert weight(()) == 0
     assert weight((4, 2, 1)) == 7

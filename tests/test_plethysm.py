@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import LengthExceedsDimension
-from plethykit.hookcontent import p_poly
 from plethykit.plethysm import (
     PlethysmInstance,
     SLInstance,
@@ -11,7 +10,7 @@ from plethykit.plethysm import (
     sl_isomorphic,
 )
 
-from .reference import character_data, dual, normalize
+from .reference import character_data, dual, normalize, p_of
 from .test_partition import partitions
 
 
@@ -159,7 +158,7 @@ def test_character_monomials_known_value():
     cd = character_data(PlethysmInstance((2,), (2, 0)))
     assert cd.weight_exponents == (4, 0)
     assert cd.b_shift == 0
-    assert cd.p == p_poly((2,), 2)
+    assert cd.p == p_of((2,), 2)
     # x^4 + x^3 y + 2 x^2 y^2 + x y^3 + y^4
     assert cd.monomials() == {(4, 0): 1, (3, 1): 1, (2, 2): 2, (1, 3): 1, (0, 4): 1}
 

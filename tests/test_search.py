@@ -13,7 +13,7 @@ from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
 from plethykit.twist import solve_twist
 
-from .reference import dual, normalize
+from .reference import dual, normalize, p_of
 from .test_cli import run
 
 
@@ -57,7 +57,7 @@ def test_class_invariants(bounds):
             assert 1 <= weight(inst.lam) <= max_weight
             assert 1 <= inst.d <= max_d
             assert len(inst.lam) <= inst.d  # members are normalized
-            assert p_poly(inst.lam, inst.d) == c.poly
+            assert p_of(inst.lam, inst.d) == c.poly
         assert list(c.members) == sorted(c.members, key=lambda i: (i.d, i.lam))
         assert pairwise_sl_isomorphic(list(c.members))
         seen_polys.append((len(c.poly) - 1, c.poly))
@@ -103,10 +103,9 @@ def test_instances_are_grouped_by_their_own_key(monkeypatch):
         return sl_key(p, d)
 
     # Both names of sl_key count into one list, so a key built anywhere
-    # else, through SLInstance or through p_poly, adds to it.
+    # else adds to it.
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
     monkeypatch.setattr(hookcontent, "sl_key", counting_sl_key)
-    p_poly.cache_clear()  # a cached P would hide a second sl_key call
     enumerate_classes(6, 5)
     instances = [(lam, d) for d in range(1, 6) for n in range(1, 7) for lam in partitions_of(n, d)]
     assert sorted(built) == sorted(instances)
@@ -120,6 +119,15 @@ def test_each_partition_is_counted_once():
     info = hookcontent._block_counts.cache_info()
     assert (info.misses, info.hits) == (28, 69)
     assert info.currsize == 1  # only the last partition's counts stay alive
+
+
+def test_each_class_is_expanded_once():
+    # search expands one P per reported class, from its first member's key.
+    p_poly.cache_clear()
+    classes = enumerate_classes(6, 5)
+    info = p_poly.cache_info()
+    assert len(classes) == 24
+    assert (info.misses, info.hits) == (24, 0)
 
 
 def test_enumeration_memory_stays_small():

@@ -20,7 +20,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = {"hookcontent.py": ["tests/test_hookcontent.py", "tests/test_search.py", "tests/test_readme.py"]}
+TESTS = {
+    "hookcontent.py": ["tests/test_hookcontent.py", "tests/test_search.py", "tests/test_readme.py"],
+    "plethysm.py": ["tests/test_plethysm.py", "tests/test_cli.py"],
+    "partition.py": ["tests/test_partition.py", "tests/test_plethysm.py"],
+}
 SWAP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
