@@ -114,6 +114,7 @@ def oracle_check(args) -> int:
     each other on every instance within the bounds."""
     checked = 0
     memo = {}  # one tableau memo: shapes recur along each d loop and across partitions
+    dens = {}  # one denominator memo, apart: a (d+1, B) key could equal a two-part shape
     for n in range(1, args.max_weight + 1):
         for lam in partitions_of(n, n):
             for d in range(len(lam) - 1, args.max_d + 1):
@@ -123,7 +124,7 @@ def oracle_check(args) -> int:
                     coeffs[1] += 1
                     expected = tuple(coeffs[: max(2, len(expected))])
                 routes = {
-                    "bialternant": specialize_bialternant(lam, d),
+                    "bialternant": specialize_bialternant(lam, d, dens),
                     "tableau": specialize_ssyt(lam, d, memo),
                     "hook_content": expected,
                 }

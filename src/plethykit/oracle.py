@@ -7,8 +7,11 @@ and with no trailing zero, that ``hookcontent.p_poly`` returns:
 * ``specialize_bialternant`` evaluates the ratio of alternant
   determinants det(x_j^{lambda_i + k - i}) / det(x_j^{k - i}) at
   x_j = q^{j-1}.  The determinants are taken over plain integers with q
-  packed as a large power of two, and the Schur coefficients are read
-  back off the exact integer quotient's base-2^B digits.  With q packed,
+  packed as 2^B, B the bit length of the coefficient bound (d+1)^|lambda|
+  rounded up to whole bytes, and the Schur coefficients are read back
+  off the exact integer quotient's bytes, B/8 to a coefficient, in one
+  pass.  The denominator depends only on (d+1, B), so a caller can keep
+  it across calls in a dict, as ``cli`` does for one run.  With q packed,
   both matrices have entries y_i^j, y_i = 2^(B e_i), so each is a
   Vandermonde matrix and its determinant is the product
   prod_{i<i'} (y_{i'} - y_i) (Macdonald, *Symmetric Functions*, I §3).
@@ -49,15 +52,20 @@ def _vandermonde(nodes: list[int]) -> int:
     return det
 
 
-def specialize_bialternant(p: Partition, d: int) -> tuple[int, ...]:
+def specialize_bialternant(p: Partition, d: int, dens: dict | None = None) -> tuple[int, ...]:
     """s_p(1, q, ..., q^d) via the alternant determinant ratio.
 
     Both alternants are Vandermonde determinants in the packed powers of
     q, so each is taken as the product of its node differences.  Every
     coefficient counts a subset of fillings of the diagram with
-    entries in {1..d+1}, so it is bounded by (d+1)^|p|; packing q as
-    2^B with 2^B above that bound makes the base-2^B digits of the
-    integer quotient exactly the polynomial's coefficients.
+    entries in {1..d+1}, so it is below 2^B for B the bit length of
+    (d+1)^|p|, rounded up to whole bytes; packing q as 2^B makes the
+    B-bit digits of the integer quotient exactly the polynomial's
+    coefficients, read off its bytes in one pass.
+
+    The denominator depends only on (d+1, B).  dens maps those pairs to
+    their denominators: pass one dict to every call to build each once;
+    by default each call starts a fresh one.
 
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
@@ -65,19 +73,19 @@ def specialize_bialternant(p: Partition, d: int) -> tuple[int, ...]:
     if len(p) > k:
         raise LengthExceedsDimension(f"{p} has more than {k} rows")
     lam = list(p) + [0] * (k - len(p))
-    bits = max(64, weight(p) * k.bit_length() + 2)
+    step = -(-(k ** weight(p)).bit_length() // 8)
+    bits = 8 * step
+    dens = {} if dens is None else dens
+    if (k, bits) not in dens:
+        dens[k, bits] = _vandermonde([1 << (bits * (k - 1 - i)) for i in range(k)])
     num = _vandermonde([1 << (bits * (lam[i] + k - 1 - i)) for i in range(k)])
-    den = _vandermonde([1 << (bits * (k - 1 - i)) for i in range(k)])
-    quotient, rem = divmod(num, den)
+    quotient, rem = divmod(num, dens[k, bits])
     if rem:
         raise InexactDivision("alternant ratio left a remainder")
     if quotient <= 0:
         raise ConsistencyError("alternant ratio must be a positive value")
-    coeffs = []
-    while quotient:
-        quotient, digit = divmod(quotient, 1 << bits)
-        coeffs.append(digit)
-    return tuple(coeffs)
+    raw = quotient.to_bytes(-(-quotient.bit_length() // 8), "little")
+    return tuple(int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step))
 
 
 def _schur(lam: tuple[int, ...], memo: dict) -> list[int]:

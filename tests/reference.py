@@ -9,6 +9,10 @@ plethykit against.  The package itself calls none of them.
   ``p_poly`` (which works through (1 - q^n) passes instead);
   ``trim`` drops trailing zeros, and ``canonical_poly`` checks that a
   polynomial the package returns is in that form.
+* ``full_p_poly``: P expanded from a key to its full degree, every
+  multiplication by (1 - q^n) before any exact division
+  (``_times_one_minus``, ``_over_one_minus``), the reference for
+  ``p_poly``, which expands half of P as a power series and mirrors it.
 * ``conjugate``: the transposed diagram, which the block-wise
   ``sl_key`` reads off the row blocks instead.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
@@ -29,6 +33,7 @@ plethykit against.  The package itself calls none of them.
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import p_poly
@@ -44,6 +49,45 @@ ONE: Poly = (1,)
 def p_of(p, d) -> Poly:
     """P^d_p, expanded from the key of ``SLInstance(p, d)``."""
     return p_poly(SLInstance(p, d).key)
+
+
+def _times_one_minus(f: list[int], a: int) -> list[int]:
+    """f(q) * (1 - q^a)."""
+    out = f + [0] * a
+    out[a:] = [x - y for x, y in zip(out[a:], f)]
+    return out
+
+
+def _over_one_minus(f: list[int], b: int) -> list[int]:
+    """f(q) / (1 - q^b), which must be exact.
+
+    The quotient satisfies h[i] = f[i] + h[i-b]; running that recurrence
+    to the top degree must leave zeros in the last b slots, otherwise
+    the division had a remainder.
+    """
+    if len(f) <= b:
+        if any(f):
+            raise InexactDivision(f"(1 - q^{b}) does not divide exactly")
+        return [0]
+    out = list(f)
+    for r in range(b):
+        out[r::b] = accumulate(f[r::b])
+    if any(out[len(f) - b:]):
+        raise InexactDivision(f"(1 - q^{b}) does not divide exactly")
+    return out[: len(f) - b]
+
+
+def full_p_poly(key: tuple[int, ...]) -> Poly:
+    """P = prod [n]^{c_n} from its key, expanded to its full degree: all
+    multiplications by (1 - q^n) happen before any division, each group
+    in increasing n, so every intermediate division is exact, and a
+    remainder raises InexactDivision."""
+    f = [1]
+    for n, c in sorted(zip(key[::2], key[1::2]), key=lambda nc: nc[1] < 0):
+        step = _times_one_minus if c > 0 else _over_one_minus
+        for _ in range(abs(c)):
+            f = step(f, n)
+    return tuple(f)
 
 
 def trim(coeffs) -> Poly:

@@ -10,7 +10,7 @@ from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
 from plethykit.errors import ConsistencyError, InexactDivision
 from plethykit.hookcontent import p_poly
-from plethykit.oracle import specialize_ssyt
+from plethykit.oracle import specialize_bialternant, specialize_ssyt
 
 from .reference import ONE
 
@@ -324,6 +324,23 @@ def test_oracle_check_shares_one_tableau_memo(monkeypatch):
     assert result.exit_code == 0
     assert len(memos) > 1
     assert all(memo is memos[0] for memo in memos)
+
+
+def test_oracle_check_shares_one_denominator_memo(monkeypatch):
+    # The bialternant's denominator depends only on (d+1, B): 519 calls
+    # at 9/7 meet 22 of them, kept in one dict apart from the tableau memo.
+    memos = []
+
+    def recording(p, d, dens=None):
+        memos.append(dens)
+        return specialize_bialternant(p, d, dens)
+
+    monkeypatch.setattr(cli, "specialize_bialternant", recording)
+    result = run("oracle-check", "--max-weight", "9", "--max-d", "7")
+    assert lines(result) == [{"agree": True, "instances": 519}]
+    assert len(memos) == 519
+    assert all(dens is memos[0] for dens in memos)
+    assert len(memos[0]) == 22
 
 
 def test_oracle_check_expands_p_once_per_key():

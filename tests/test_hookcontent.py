@@ -5,25 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import (
-    _block_counts,
-    _over_one_minus,
-    _times_one_minus,
-    p_poly,
-    sl_key,
-)
+from plethykit.hookcontent import _block_counts, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
+from plethykit.search import enumerate_classes
 from plethykit.staircase import _instance
 
 from .reference import (
     ONE,
+    _over_one_minus,
+    _times_one_minus,
     canonical_poly,
     cells,
     complement,
     conjugate,
     content,
     exact_div,
+    full_p_poly,
     hook_length,
     key_pairs,
     mul,
@@ -282,6 +280,31 @@ def test_sl_key_size_does_not_depend_on_d():
 def _instances(draw, max_weight=12, max_d=10):
     p = draw(partitions(max_weight=max_weight, max_parts=max_d + 1))
     return p, draw(st.integers(max(len(p) - 1, 0), max_d))
+
+
+@settings(deadline=None)
+@given(_instances(max_weight=24, max_d=30))
+def test_p_poly_matches_the_full_degree_expansion(instance):
+    key = SLInstance(*instance).key
+    assert canonical_poly(p_poly(key)) == full_p_poly(key)
+
+
+def test_p_poly_matches_the_full_degree_expansion_on_every_class():
+    classes = enumerate_classes(12, 10)
+    assert len(classes) == 300
+    for cls in classes:
+        key = cls.members[0].key
+        assert p_poly(key) == full_p_poly(key) == cls.poly, key
+
+
+@pytest.mark.parametrize("key", [(1, 1, 2, -2, 4, 1), (1, 1, 2, -1)])
+def test_p_poly_rejects_a_key_that_misses_its_dimension(key):
+    # (1 - q)(1 - q^4) / (1 - q^2)^2 and (1 - q) / (1 - q^2) are not
+    # polynomials; the truncated series cannot tell, the dimension can.
+    with pytest.raises(InexactDivision):
+        p_poly(key)
+    with pytest.raises(InexactDivision):
+        full_p_poly(key)
 
 
 @given(_instances(), _instances(), st.booleans())

@@ -1,11 +1,11 @@
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethykit.errors import LengthExceedsDimension
+from plethykit.errors import ConsistencyError, InexactDivision, LengthExceedsDimension
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, partitions_of, weight
 
@@ -78,7 +78,7 @@ def test_bialternant_known_values():
     assert specialize_bialternant((1, 1), 1) == (0, 1)
     # s_(2,2)(1, q) = q^2
     assert specialize_bialternant((2, 2), 1) == (0, 0, 1)
-    with pytest.raises(LengthExceedsDimension):
+    with pytest.raises(LengthExceedsDimension, match=r"^\(1, 1\) has more than 1 rows$"):
         specialize_bialternant((1, 1), 0)
 
 
@@ -88,7 +88,7 @@ def test_ssyt_known_values():
     assert specialize_ssyt((2, 2), 1) == (0, 0, 1)
     assert sum(specialize_ssyt((2,), 3)) == 10
     assert sum(specialize_ssyt((1, 1, 1), 2)) == 1
-    with pytest.raises(LengthExceedsDimension):
+    with pytest.raises(LengthExceedsDimension, match=r"^\(1, 1\) has more than 1 rows$"):
         specialize_ssyt((1, 1), 0)
 
 
@@ -141,6 +141,69 @@ def test_shared_memo_matches_a_fresh_memo_for_every_d():
     alone = {}
     specialize_ssyt(mu, top, alone)
     assert len(shared) - before < len(alone)
+
+
+def test_shared_denominators_match_fresh_ones_for_every_d():
+    # One denominator memo passed along the d loop of a shape and on to
+    # a second shape, as oracle-check does.
+    lam, mu, top = (3, 2, 2, 1), (2, 2, 1), 9
+    shared = {}
+    for d in range(len(lam) - 1, top + 1):
+        assert specialize_bialternant(lam, d, shared) == specialize_bialternant(lam, d), d
+    # One entry per (d+1, B): |lam| = 8 fixes B for each d.
+    assert len(shared) == top + 2 - len(lam)
+    for d in range(len(mu) - 1, top + 1):
+        assert specialize_bialternant(mu, d, shared) == specialize_bialternant(mu, d), d
+    # B is the least multiple of 8 with 2^B above the bound (d+1)^|p|,
+    # and each entry is the Vandermonde determinant of its packed nodes.
+    assert set(shared) == {
+        (d + 1, next(b for b in count(8, 8) if (d + 1) ** weight(p) < 1 << b))
+        for p in (lam, mu)
+        for d in range(len(p) - 1, top + 1)
+    }
+    for (k, bits), den in shared.items():
+        nodes = [1 << (bits * (k - 1 - i)) for i in range(k)]
+        assert den == _bareiss_det(_vandermonde_matrix(nodes)), (k, bits)
+
+
+def test_bialternant_reads_its_denominator_from_the_memo():
+    # A forged entry is used, not rebuilt: a negated denominator makes
+    # the quotient negative, and a doubled one leaves a remainder.
+    real = {}
+    specialize_bialternant((1,), 1, real)
+    ((key, den),) = real.items()
+    assert key == (2, 8)
+    with pytest.raises(ConsistencyError):
+        specialize_bialternant((1,), 1, {key: -den})
+    with pytest.raises(InexactDivision):
+        specialize_bialternant((1,), 1, {key: 2 * den})
+
+
+@pytest.mark.parametrize(
+    "p, d, bound_bits",
+    [
+        ((7,), 1, 8),
+        ((4, 3), 1, 8),
+        ((8,), 1, 9),
+        ((5, 3), 1, 9),
+        ((15,), 1, 16),
+        ((8, 7), 1, 16),
+        ((16,), 1, 17),
+        ((9, 7), 1, 17),
+        ((2,), 15, 9),
+        ((1, 1), 15, 9),
+        ((5,), 0, 1),
+        ((), 0, 1),
+        ((), 6, 1),
+    ],
+)
+def test_bialternant_at_the_byte_edges_of_its_packing(p, d, bound_bits):
+    # The digits are B = 8 ceil(bits / 8) wide, bits the bit length of
+    # the coefficient bound (d+1)^|p|: each case sits at a multiple of 8
+    # or one past it, or at the one-bit bound of d = 0 or p = ().
+    assert ((d + 1) ** weight(p)).bit_length() == bound_bits
+    f = canonical_poly(specialize_bialternant(p, d))
+    assert f == specialize_ssyt(p, d) == _fillings_reference(p, d)
 
 
 def test_ssyt_past_the_old_budget():
