@@ -17,10 +17,10 @@ and with no trailing zero, that ``hookcontent.p_poly`` returns:
   prod_{i<i'} (y_{i'} - y_i) (Macdonald, *Symmetric Functions*, I §3).
   The route stays independent of the hook-content route: it uses only
   the bialternant formula and the Vandermonde identity, a product over
-  pairs of rows evaluated as one exact integer, and never the
-  hook-content theorem's product over cells.  A remainder in the
-  quotient raises InexactDivision and a non-positive quotient raises
-  ConsistencyError.
+  pairs of rows multiplied in a balanced tree into one exact integer,
+  and never the hook-content theorem's product over cells.  A remainder
+  in the quotient raises InexactDivision and a non-positive quotient
+  raises ConsistencyError.
 * ``specialize_ssyt`` sums q^(sum of entries - cells) over semistandard
   tableaux with entries in {1..n}, n = d+1, by the branching rule
   (Macdonald, *Symmetric Functions*, I §5): removing the entries n
@@ -38,18 +38,27 @@ and with no trailing zero, that ``hookcontent.p_poly`` returns:
 """
 
 from itertools import product
+from math import prod
 
 from .errors import ConsistencyError, InexactDivision, LengthExceedsDimension
 from .partition import Partition, weight
 
 
 def _vandermonde(nodes: list[int]) -> int:
-    """det(nodes[i]^j) over plain integers, as prod_{i<i'} (nodes[i'] - nodes[i])."""
-    det = 1
-    for i, y in enumerate(nodes):
-        for z in nodes[i + 1 :]:
-            det *= z - y
-    return det
+    """det(nodes[i]^j) over plain integers, as prod_{i<i'} (nodes[i'] - nodes[i]).
+
+    The differences are multiplied in a balanced tree, level by level,
+    each level taking the product of every run of 16, so the top levels
+    join factors of like size: one running product over all of them
+    takes time quadratic in the determinant's length.  Runs of 16, not
+    pairs, leave the small determinants of ``oracle-check`` (k <= 6) to
+    one product: on the 541 determinants of its 9/7 run a pairwise tree
+    took 1.9 times as long as the running product, runs of 16 1.1 times.
+    """
+    factors = [z - y for i, y in enumerate(nodes) for z in nodes[i + 1 :]]
+    while len(factors) > 16:
+        factors = [prod(factors[i : i + 16]) for i in range(0, len(factors), 16)]
+    return prod(factors)
 
 
 def specialize_bialternant(p: Partition, d: int, dens: dict | None = None) -> tuple[int, ...]:

@@ -42,8 +42,8 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     (its degree plus one) and then lexicographically by P's coefficients.
 
     The partition is the outer loop and d the inner one, so the d-free
-    half of ``sl_key``, memoized for one partition, counts each
-    partition's hooks and contents once for all its d.  The order does
+    half of ``sl_key`` counts each partition's hooks and contents once
+    for all its d, whatever the size of its memo.  The order does
     not reach the output: members and classes are sorted after grouping.
 
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.

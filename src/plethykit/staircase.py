@@ -14,16 +14,19 @@ families, staircase configurations that are pairwise SL-isomorphic for
 every choice of their parameters.  Each corollary family is two main
 squares glued along two shared members.
 
-Members are built through two memos of 512 entries each, one per kind
-of repeat a sweep over a parameter grid makes.  ``_member`` catches a
-repeated descriptor: the square with u and v swapped has the same four
-descriptors, and u = v repeats two within one square.  Below it the
-instance memo catches distinct descriptors of one instance: a zero
-width or height merges two blocks, so neighbouring squares share
-members written differently.  Both memos match by == and hash, under
-which True and 1.0 equal 1, so every entry is checked to be an int
-before the lookup: once per call by the family builders, for their
-parameters, and by ``to_instance``, for the descriptor it is given.
+Members are built through three memos of 512 entries each, one per
+kind of repeat a sweep over a parameter grid makes.  ``_member``
+catches a repeated descriptor: the square with u and v swapped has the
+same four descriptors, and u = v repeats two within one square.  Below
+it the instance memo catches distinct descriptors of one instance: a
+zero width or height merges two blocks, so neighbouring squares share
+members written differently.  Below both, the key's count memo in
+``hookcontent`` catches a repeated partition under a new d: squares
+that differ only in a member's slack share its partition.  The two
+memos here match by == and hash, under which True and 1.0 equal 1, so
+every entry is checked to be an int before the lookup: once per call
+by the family builders, for their parameters, and by ``to_instance``,
+for the descriptor it is given.
 """
 
 from functools import lru_cache, partial

@@ -13,6 +13,9 @@ plethykit against.  The package itself calls none of them.
   multiplication by (1 - q^n) before any exact division
   (``_times_one_minus``, ``_over_one_minus``), the reference for
   ``p_poly``, which expands half of P as a power series and mirrors it.
+* ``sequential_vandermonde``: the Vandermonde product taken one node
+  difference at a time into one running product, the reference for
+  ``oracle._vandermonde``, which multiplies them in a balanced tree.
 * ``conjugate``: the transposed diagram, which the block-wise
   ``sl_key`` reads off the row blocks instead.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
@@ -160,6 +163,15 @@ def exact_div(f: Poly, div: Poly) -> Poly:
     if any(rem):
         raise InexactDivision(f"{f!r} is not divisible by {div!r}")
     return tuple(quot)
+
+
+def sequential_vandermonde(nodes: list[int]) -> int:
+    """prod_{i<i'} (nodes[i'] - nodes[i]), multiplied in row order."""
+    det = 1
+    for i, y in enumerate(nodes):
+        for z in nodes[i + 1 :]:
+            det *= z - y
+    return det
 
 
 def conjugate(p: Partition) -> Partition:

@@ -231,13 +231,28 @@ def test_sl_key_matches_per_cell_key_around_the_branch_point():
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 12)), min_size=1, max_size=12),
 )
 def test_sl_key_memo_never_serves_another_partition(shapes, asks):
-    # sl_key counts each partition once and keeps the last one's counts:
+    # sl_key counts each partition once and keeps its counts in a memo:
     # repeated and alternating partitions must each get their own.
     _block_counts.cache_clear()
     for i, extra in asks:
         p = shapes[i % len(shapes)]
         d = max(len(p) - 1, 0) + extra
         assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+def test_count_memo_eviction_keeps_keys_exact():
+    # More distinct partitions than the count memo holds, each built
+    # through SLInstance, then the earliest again under other d: every
+    # key must be its own partition's, after the memo has evicted it.
+    _block_counts.cache_clear()
+    shapes = [p for n in range(1, 16) for p in partitions_of(n, n)]
+    assert len(shapes) > _block_counts.cache_info().maxsize
+    for p in shapes:
+        assert key_pairs(SLInstance(p, len(p) - 1).key) == per_cell_key(p, len(p) - 1)
+    assert _block_counts.cache_info().currsize == _block_counts.cache_info().maxsize
+    for p in shapes[:50]:
+        for d in (len(p), len(p) + 5, p[0] + 2 * len(p)):
+            assert key_pairs(SLInstance(p, d).key) == per_cell_key(p, d), (p, d)
 
 
 @pytest.mark.parametrize("p", [(1, 2), (-1,), (0, 1), (2, 1.5), (True,)])

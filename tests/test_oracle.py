@@ -9,7 +9,7 @@ from plethykit.errors import ConsistencyError, InexactDivision, LengthExceedsDim
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
 from plethykit.partition import b_statistic, partitions_of, weight
 
-from .reference import ONE, canonical_poly, complement, p_of, q_analog, trim
+from .reference import ONE, canonical_poly, complement, p_of, q_analog, sequential_vandermonde, trim
 from .test_partition import partitions
 
 
@@ -66,6 +66,14 @@ def test_vandermonde_matches_elimination_on_distinct_nodes(nodes):
     det = _vandermonde(nodes)
     assert det == _bareiss_det(_vandermonde_matrix(nodes))
     assert det != 0
+
+
+@given(st.lists(st.integers(-(2**80), 2**80), max_size=12))
+def test_vandermonde_matches_the_sequential_product(nodes):
+    # Up to 12 nodes, 66 differences: up to 16 of them multiplied at
+    # once, more in runs of 16 with a short last run, and repeated
+    # nodes, whose determinant is 0.
+    assert _vandermonde(nodes) == sequential_vandermonde(nodes)
 
 
 def test_bialternant_known_values():
@@ -252,3 +260,10 @@ def test_bialternant_handles_wide_rows():
     assert f == g
     # a single row of 8 cells with entries <= 7: C(8 + 6, 6) fillings
     assert sum(f) == comb(14, 6)
+
+
+def test_bialternant_matches_tableaux_on_a_long_row():
+    # 41 nodes, 820 differences and a numerator of about 1.08 million
+    # bits: a running product of the differences takes over a second
+    # here, the product tree a fifth of one.
+    assert specialize_bialternant((8,), 40) == specialize_ssyt((8,), 40)

@@ -112,13 +112,13 @@ def test_instances_are_grouped_by_their_own_key(monkeypatch):
 
 
 def test_each_partition_is_counted_once():
-    # d is the inner loop, so the one-partition memo behind sl_key counts
-    # each of the 28 partitions once and serves its other d: 97 instances.
+    # d is the inner loop, so the count memo behind sl_key counts each of
+    # the 28 partitions once and serves its other d: 97 instances.
     hookcontent._block_counts.cache_clear()
     enumerate_classes(6, 5)
     info = hookcontent._block_counts.cache_info()
     assert (info.misses, info.hits) == (28, 69)
-    assert info.currsize == 1  # only the last partition's counts stay alive
+    assert info.currsize == 28  # every partition of the grid stays
 
 
 def test_each_class_is_expanded_once():

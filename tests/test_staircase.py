@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plethykit import plethysm, staircase
+from plethykit import hookcontent, plethysm, staircase
 from plethykit.errors import EmptyDiagram
 from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
@@ -99,6 +99,30 @@ def test_instance_memo_builds_each_distinct_instance_once():
     assert len(distinct) == 2
     info = _instance.cache_info()
     assert (info.misses, info.hits) == (len(distinct), len(instances) - len(distinct))
+
+
+def test_count_memo_counts_each_partition_once_across_squares():
+    # Every square with len(x) = len(y) <= 1 and entries <= 2: 244
+    # distinct instances reach sl_key, 238 of them nonempty, over 118
+    # partitions, so a partition that recurs squares apart under another
+    # d is served from the count memo.  A memo of one partition, which
+    # only serves a repeat in a row, reads 236 misses and 2 hits.
+    _member.cache_clear()
+    _instance.cache_clear()
+    hookcontent._block_counts.cache_clear()
+    squares = [
+        (x, y, u, v, z)
+        for n in range(2)
+        for x in product(range(3), repeat=n)
+        for y in product(range(3), repeat=n)
+        for u, v, z in product(range(3), repeat=3)
+        if z or any(x) or any(y) or 0 not in (u, v)
+    ]
+    assert len(squares) == 260
+    assert all(pairwise_sl_isomorphic(main_family(*params)) for params in squares)
+    assert _instance.cache_info().misses == 244
+    info = hookcontent._block_counts.cache_info()
+    assert (info.misses, info.hits) == (118, 120)
 
 
 def test_member_memo_eviction_keeps_instances_exact(monkeypatch):

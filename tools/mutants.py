@@ -25,6 +25,7 @@ TESTS = {
     "plethysm.py": ["tests/test_plethysm.py", "tests/test_cli.py"],
     "partition.py": ["tests/test_partition.py", "tests/test_plethysm.py"],
     "oracle.py": ["tests/test_oracle.py", "tests/test_cli.py"],
+    "staircase.py": ["tests/test_staircase.py", "tests/test_hookcontent.py", "tests/test_cli.py"],
 }
 SWAP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
