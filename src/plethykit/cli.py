@@ -40,10 +40,19 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook of json.loads: a repeated key is a
+    ValueError, never resolved to its last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {max(keys, key=keys.count)!r}")
+    return dict(pairs)
+
+
 def _parse_instance(text: str, mode: str):
     kind = SLInstance if mode == "sl" else PlethysmInstance
     try:
-        return kind.from_json(json.loads(text))
+        return kind.from_json(json.loads(text, object_pairs_hook=_unique_keys))
     except (LengthExceedsDimension, ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad instance {text!r}: {exc}") from exc
 

@@ -12,7 +12,8 @@ witness; ``nu2_obstruction`` decides in O(1) whether one exists.
 
 Proof that the predicate is exact.  Assume |lam|, |mu| >= 1, so A, B >= 1.
 
-1. For fixed (l, m) the equation reads 2(A*y - B*x) = B*d - A*e.  With
+1. For fixed (l, m) the equation reads 2(A*y - B*x) = B*d - A*e;
+   ``solve_twist`` computes this right-hand side, halved.  With
    g = gcd(A, B) it has an integer solution iff 2g | B*d - A*e, and
    then a solution with x, y >= 0: adding (A/g, B/g) to (x, y) keeps
    it a solution and raises both coordinates.
@@ -56,7 +57,7 @@ through every residue mod 2^(beta-t+1); if s <= alpha < t, take l = 0
 and m < 2^(alpha-s+1) <= |lam| likewise.
 """
 
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import NotSLIsomorphic, ZeroWeight
@@ -76,23 +77,20 @@ def _min_y_solution(a: int, b: int, c: int) -> Optional[tuple[int, int]]:
 
     a and b must be nonnegative.
     """
-    if a == 0 and b == 0:
-        return (0, 0) if c == 0 else None
-    if a == 0:
-        return (-c // b, 0) if c <= 0 and c % b == 0 else None
     if b == 0:
+        if a == 0:
+            return (0, 0) if c == 0 else None
         return (0, c // a) if c >= 0 and c % a == 0 else None
     g = gcd(a, b)
     if c % g:
         return None
-    a2, b2, c2 = a // g, b // g, c // g
-    y = (c2 * pow(a2, -1, b2)) % b2 if b2 > 1 else 0
-    x = (a * y - c) // b
-    if x < 0:
-        shift = (-x + a2 - 1) // a2
-        y += shift * b2
-        x += shift * a2
-    return x, y
+    b2 = b // g
+    y = (c // g) * pow(a // g, -1, b2) % b2 if b2 > 1 else 0
+    if a * y < c:  # x would be negative: step y up by b2 until a*y >= c
+        if a == 0:
+            return None
+        y += (c - a * y + a * b2 - 1) // (a * b2) * b2
+    return (a * y - c) // b, y
 
 
 def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> Optional[TwistSolution]:
@@ -105,29 +103,21 @@ def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> Optional[Twist
     """
     if not sl_isomorphic(a, b):
         raise NotSLIsomorphic(f"{a} and {b} have different P polynomials")
-    wl, wm = weight(a.lam), weight(b.lam)
-    d, e = a.d, b.d
-    half_gap = (wl * d - wm * e) // 2
-    best = None
-    best_key = None
+    wl, wm, d, e = weight(a.lam), weight(b.lam), a.d, b.d
+    best = None  # the least (y, x, l, m) so far
     for l in range(bound + 1):
         big_b = wl + l * (d + 1)
         for m in range(bound + 1):
             big_a = wm + m * (e + 1)
-            c = half_gap + l * comb(d + 1, 2) - m * comb(e + 1, 2)
-            sol = _min_y_solution(big_a, big_b, c)
-            if sol is None:
-                continue
-            x, y = sol
-            key = (y, x, l, m)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = TwistSolution(l, m, x, y)
-                if key[:2] == (0, 0):
+            sol = _min_y_solution(big_a, big_b, (big_b * d - big_a * e) // 2)
+            # sol is (x, y), so sol[::-1] + (l, m) is the key (y, x, l, m)
+            if sol is not None and (best is None or sol[::-1] + (l, m) < best):
+                best = sol[::-1] + (l, m)
+                if sol == (0, 0):
                     # nothing later in the scan can beat y = x = 0,
                     # since (l, m) only grows from here
-                    return best
-    return best
+                    return TwistSolution(l, m, 0, 0)
+    return None if best is None else TwistSolution(best[2], best[3], best[1], best[0])
 
 
 def verify_twist(a: SLInstance, b: SLInstance, t: TwistSolution) -> bool:

@@ -110,6 +110,32 @@ def test_verify_rejects_bad_instances(bad, mode):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("verify", '{"lambda": [1], "d": 1, "d": 2}', '{"lambda": [1], "d": 2}'), "d"),
+        (
+            (
+                "verify",
+                '{"lambda": [1], "delta": [3, 0], "delta": [2, 0]}',
+                '{"lambda": [1], "delta": [2, 0]}',
+                "--mode",
+                "gl",
+            ),
+            "delta",
+        ),
+        (("twist", SL_A, '{"lambda": [2], "d": 3, "lambda": [1, 1]}'), "lambda"),
+    ],
+)
+def test_repeated_keys_are_invalid_input(argv, key):
+    # json.loads alone keeps a repeated key's last value, which would
+    # answer a different question (each pair above is a "yes" then)
+    result = run(*argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"repeated key {key!r}" in result.stderr
+
+
 def test_verify_gl_mode_requires_delta():
     result = run("verify", SL_A, SL_B, "--mode", "gl")
     assert result.exit_code == 2

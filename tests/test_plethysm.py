@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plethykit.errors import LengthExceedsDimension
+from plethykit.errors import ConsistencyError, LengthExceedsDimension
 from plethykit.plethysm import (
     PlethysmInstance,
     SLInstance,
@@ -181,3 +181,13 @@ def test_gl_isomorphism_equals_character_equality(pair):
     a, b = pair
     chars_equal = character_data(a).monomials() == character_data(b).monomials()
     assert gl_isomorphic(a, b) == chars_equal
+
+
+def test_equal_keys_with_odd_weight_degree_gap_are_a_consistency_error():
+    # Equal P forces |lam_a|*d_a - |lam_b|*d_b to be even, so only a
+    # forged key reaches the check: 1*1 - 1*2 is odd.
+    a, b = SLInstance((1,), 1), SLInstance((1,), 2)
+    object.__setattr__(a, "key", b.key)
+    with pytest.raises(ConsistencyError) as raised:
+        sl_isomorphic(a, b)
+    assert str(a) in str(raised.value) and str(b) in str(raised.value)

@@ -204,3 +204,11 @@ def test_classify_gl_labels_without_a_search_bound():
     c = EquivalenceClass(poly=(1, 1, 2, 1, 1), members=(a, b))
     assert solve_twist(a, b, 0) is None
     assert classify_gl(c)["twistable"] == [(0, 1)]
+
+
+def test_classify_gl_labels_an_obstructed_pair():
+    # Weights 2 and 4 have nu2 1 and 2, and both d + 1 = 4 have nu2 2, so
+    # nu2_obstruction holds.  The pair is not SL-isomorphic: no real pair
+    # has reached this branch (ROADMAP item 7), so the class is built by hand.
+    c = EquivalenceClass((1,), (SLInstance((2,), 3), SLInstance((4,), 3)))
+    assert classify_gl(c) == {"direct": [], "twistable": [], "obstructed": [(0, 1)], "unresolved": []}

@@ -1,3 +1,6 @@
+import hashlib
+import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from plethykit.errors import NotSLIsomorphic, ZeroWeight
 from plethykit.partition import add, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
+from plethykit.search import enumerate_classes
 from plethykit.twist import (
     TwistSolution,
     _min_y_solution,
@@ -116,6 +120,24 @@ def test_solve_twist_witness_pair():
     assert not verify_twist(a, b, TwistSolution(0, 0, 0, 0))
 
 
+def test_verify_twist_lifts_the_second_delta():
+    # The least twist of this pair has y = 1, so the second instance's
+    # delta is lifted too, to (4 + 1, 1).
+    a, b = SLInstance((2,), 3), SLInstance((1, 1), 4)
+    sol = solve_twist(a, b)
+    assert sol == TwistSolution(l=3, m=1, x=0, y=1)
+    assert verify_twist(a, b, sol)
+
+
+def test_solve_twist_default_bound_is_50():
+    # b is a with 51 full columns added, so (l, m) = (51, 0) twists with
+    # y = x = 0, one step past the default bound.
+    a = SLInstance((1,), 1)
+    b = SLInstance(add(a.lam, (51, 51)), 1)
+    assert solve_twist(a, b, 51) == TwistSolution(l=51, m=0, x=0, y=0)
+    assert solve_twist(a, b) == solve_twist(a, b, 50) == TwistSolution(l=17, m=1, x=1, y=0)
+
+
 def test_solve_twist_trivial_cases():
     a = SLInstance((3, 1), 2)
     assert solve_twist(a, a) == TwistSolution(0, 0, 0, 0)
@@ -149,6 +171,24 @@ def test_solve_twist_returns_the_minimal_key(pair):
     sol = solve_twist(a, b, bound=6)
     assume(sol is not None and sol.y <= 25)
     assert _brute_min_key(a, b, bound=6, y_cap=sol.y) == (sol.y, sol.x, sol.l, sol.m)
+
+
+def test_solve_twist_answers_are_pinned_on_a_grid():
+    """Every class pair of search 8/6, both orders, at six bounds: the
+    answers, None included, hashed so any change to the scan shows."""
+    answers = []
+    for cls in enumerate_classes(8, 6):
+        for a, b in combinations(cls.members, 2):
+            for bound in (0, 1, 2, 3, 6, 50):
+                answers.append(solve_twist(a, b, bound))
+                answers.append(solve_twist(b, a, bound))
+    assert len(answers) == 1596
+    assert answers.count(None) == 92
+    text = json.dumps([None if s is None else list(s) for s in answers])
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "68724187e73c64f197b13fbb7cc8a6155d6abe358b09c5bceaee1b130509bc9a"
+    )
 
 
 def test_nu2_known_values():
