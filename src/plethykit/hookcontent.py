@@ -8,7 +8,10 @@ S_lambda(C^{d+1}).
 
 Equal P polynomials are the complete SL(2)-isomorphism invariant, and
 ``sl_key`` decides it without expanding P: the key is the net exponent
-of each q-integer [n] in C/H, flattened into one tuple of ints.  It
+c_n of each q-integer [n] in C/H, written as one int whose balanced
+base-2^64 digits are the c_n while every nonzero c_n has n < _SPAN,
+and otherwise flattened into one tuple of ints.  The form is decided by
+the c_n alone, so equal P always give equal keys of one form.  It
 counts contents and hooks a rectangle at a time, one rectangle per
 block of equal rows for the contents and one per (row block, column
 block) pair for the hooks, so its cost grows with the number of
@@ -42,18 +45,27 @@ key that is not P's is the dimension P(1), weaker than exact division.
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count
 from math import prod
-from operator import add, sub
+from operator import add, neg, sub
+from struct import pack, unpack
 
 from .errors import InexactDivision, LengthExceedsDimension
 from .partition import Partition
 
+# A key is one int while every nonzero c_n has n below this; see sl_key.
+_SPAN = 256
+
 
 @lru_cache(maxsize=512)
-def _block_counts(p: Partition) -> tuple[int, list[int]]:
-    """The d-free half of ``sl_key``: (m, counts) for a nonempty p, with
-    m = p[0] + len(p).  counts[n] is minus the number of hooks equal to
-    n, for 0 <= n < m, and counts[m + o] is the number of cells with
-    content offset o = c(u) + len(p) - 1, for 0 <= o <= m.
+def _block_counts(p: Partition) -> tuple[int, list[int], int | None, int | None]:
+    """The d-free half of ``sl_key``: (m, counts, hooks, contents) for a
+    nonempty p, with m = p[0] + len(p).  counts[n] is minus the number
+    of hooks equal to n, for 0 <= n < m, and counts[m + o] is the number
+    of cells with content offset o = c(u) + len(p) - 1, for 0 <= o <= m.
+    hooks and contents are the same two halves packed as ints, the
+    count of hook n (of offset o) in base-2^64 digit n (digit o), for
+    ``sl_key``'s int form; they are only packed, once per partition,
+    when m <= _SPAN, the widest p the int form is built from, and are
+    None otherwise, so a long p costs what its counts cost.
 
     The memo holds 512 partitions, as many as each staircase memo above
     it.  ``search`` asks for every d of a partition in a row, which one
@@ -85,14 +97,22 @@ def _block_counts(p: Partition) -> tuple[int, list[int]]:
             diff[low + h] += 1
             diff[low + w] += 1
             diff[low + h + w] -= 1
-    return m, list(accumulate(accumulate(diff)))
+    counts = list(accumulate(accumulate(diff)))
+    if m > _SPAN:
+        return m, counts, None, None
+    hooks = pack(f"<{m}Q", *map(neg, counts[:m]))
+    contents = pack(f"<{m + 1}Q", *counts[m:])
+    return m, counts, int.from_bytes(hooks, "little"), int.from_bytes(contents, "little")
 
 
-def sl_key(p: Partition, d: int) -> tuple[int, ...]:
-    """The SL invariant of (p, d): the flat tuple (n_1, c_1, n_2, c_2, ...)
-    of the pairs (n, c_n) with c_n != 0, n strictly increasing, where c_n
-    is the number of cells with d+1+c(u) = n minus the number with
-    h(u) = n, so that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).
+def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
+    """The SL invariant of (p, d), from the counts c_n, where c_n is the
+    number of cells with d+1+c(u) = n minus the number with h(u) = n, so
+    that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).  The key is
+    the int sum c_n * 2^(64n) when every nonzero c_n has n < _SPAN (0
+    for no nonzero c_n), and otherwise the flat tuple
+    (n_1, c_1, n_2, c_2, ...) of the pairs (n, c_n) with c_n != 0, n
+    strictly increasing.
 
     Two instances have equal keys exactly when they have equal P.  Each
     [n] = prod_{k | n, k > 1} Phi_k, and cyclotomic polynomials are
@@ -104,6 +124,34 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     (1 - q^n) factors of the numerator and the denominator equal in
     number, so (1 - q)^|p| cancels without a correction.  The tuple lists
     each nonzero c_n once, in increasing n, so equal c_n give equal tuples.
+
+    The int's digits are unique.  Hook lengths strictly decrease along a
+    row and down a column, so at most min(p[0], len(p)) hooks equal n;
+    the cells of one content lie on one diagonal, so at most as many
+    have d+1+c(u) = n.  So |c_n| <= min(p[0], len(p)) < 2^63, for p is a
+    tuple held in memory, and an int has one expansion in digits
+    -2^63 < c_n < 2^63 to base 2^64: equal ints give equal c_n.  Which
+    form a key takes depends on the c_n alone, through their top n, so
+    equal c_n give keys of one form however they were merged: a Hermite
+    pair ((a), b) and ((b), a) reaches its c_n once with disjoint and
+    once with overlapping ranges.  Every hook and content is at most
+    d + p[0], so when d + p[0] < _SPAN the int is built at once, and
+    otherwise the tuple is, then packed into the int if its top n is
+    still below _SPAN.  That happens only at d = len(p) - 1, where the
+    top content d + p[0] cancels the hook of cell (1, 1), and n counts
+    down from there.  So an int key stays below 64 * _SPAN bits, and no
+    key's length grows with d.
+
+    _SPAN is sized by measurement (Python 3.11, 2 CPUs, in process, the
+    counts already memoized; per key over 39 partitions of weight <= 12,
+    then over four of 4 to 12 parts and weight 35 to 144).  The tuple costs
+    2.2-2.6 us (4.5-5.5 us) whatever d is.  The int costs 0.5 us at
+    d = 30, 1.3 us at 256, 1.9 us at 512 and 3.2 us at 1,024 (0.7, 1.5,
+    2.1 and 3.4 us), and hashing it, as grouping and the ``p_poly`` memo
+    do, adds 0.2, 1.9, 2.7 and 5.4 us (0.3, 1.5, 2.7 and 5.3 us), against
+    0.2-0.5 us for the tuple.  Built and hashed, the int breaks even near
+    d = 256 on the small partitions, and it takes 2.2 KB there against
+    0.4 KB for the tuple.
 
     Both multisets are counted by blocks, not by cells.  The runs of
     equal parts L_1 > ... > L_r cut the rows into r blocks: row block k
@@ -126,11 +174,14 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     first = d+2-len(p): only the contents depend on d, and only by that
     shift.  So ``_block_counts`` counts once per partition, in one array,
     the negated hooks in slots 0..m-1 and the contents by offset from
-    slot m on, and the key for each d merges the two halves: when
-    first >= m the ranges are disjoint and the halves are read as they
-    are, otherwise the contents are added to the hooks from slot first
-    on.  The counts take O(r^2 + L_1 + len(p)) time and memory once per
-    partition, and each merge O(L_1 + len(p)), whatever d is.
+    slot m on, and the key for each d merges the two halves.  The int is
+    one shift and one subtraction of the halves packed as ints,
+    (contents << 64 * first) - hooks, exact because every digit stays
+    in range.  The tuple reads the array: when first >= m the ranges are
+    disjoint and the halves are read as they are, otherwise the
+    contents are added to the hooks from slot first on.  The counts take
+    O(r^2 + L_1 + len(p)) time and memory once per partition, and each
+    merge O(L_1 + len(p)), or O(_SPAN) for the int, whatever d is.
 
     The unchecked kernel of ``SLInstance``, its one caller in the
     package and the one parser of (p, d): p must already be a canonical
@@ -140,9 +191,11 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
     if not p:
-        return ()
-    m, counts = _block_counts(p)
+        return 0
+    m, counts, hooks, contents = _block_counts(p)
     first = d + 2 - len(p)
+    if d + p[0] < _SPAN:
+        return (contents << 64 * first) - hooks
     if first >= m:
         ns = chain(range(m), count(first))
     else:
@@ -152,18 +205,26 @@ def sl_key(p: Partition, d: int) -> tuple[int, ...]:
     # slot took 1.45x as long, which showed on the squares job, where almost
     # every partition is counted anew.
     nonzero = list(compress(ns, counts))
+    if not nonzero or nonzero[-1] < _SPAN:
+        return sum(c << 64 * n for n, c in zip(nonzero, filter(None, counts)))
     key = nonzero * 2
     key[::2], key[1::2] = nonzero, filter(None, counts)
     return tuple(key)
 
 
 @lru_cache(maxsize=8192)
-def p_poly(key: tuple[int, ...]) -> tuple[int, ...]:
-    """P = prod [n]^{c_n} as an exact integer polynomial, from its key
-    (n_1, c_1, n_2, c_2, ...) as ``SLInstance.key`` holds it: its
+def p_poly(key: int | tuple[int, ...]) -> tuple[int, ...]:
+    """P = prod [n]^{c_n} as an exact integer polynomial, from its key as
+    ``SLInstance.key`` holds it, in either of ``sl_key``'s forms: its
     coefficient tuple, indexed by exponent, ending in the leading
     coefficient.  Memoized by key, so SL-isomorphic instances share one
     expansion.
+
+    An int key with top digit n = t lies within 2^(64t - 1) and
+    2^(64t + 63) of 0 (its digits are below 2^63 in size), so it has
+    k = bit_length // 64 + 1 digits.  Adding 2^63 to every digit makes
+    them all 0 <= c_n + 2^63 < 2^64, read as one k-digit unsigned word
+    array, and the pairs (n, c_n) are the digits that are not 2^63.
 
     P is palindromic of degree D = sum c_n (n - 1), so its coefficients
     below h = D//2 + 1 fix it.  The factors (1 - q^n)^{c_n} are applied
@@ -177,7 +238,13 @@ def p_poly(key: tuple[int, ...]) -> tuple[int, ...]:
     still pass it, which the oracle routes and the full-degree
     reference in the tests rule out for keys that ``SLInstance`` builds.
     """
-    pairs = list(zip(key[::2], key[1::2]))
+    if isinstance(key, int):
+        k = abs(key).bit_length() // 64 + 1
+        bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * k, "little")  # 2^63 in every digit
+        digits = unpack(f"<{k}Q", (key + bias).to_bytes(8 * k, "little"))
+        pairs = [(n, c - (1 << 63)) for n, c in enumerate(digits) if c != 1 << 63]
+    else:
+        pairs = list(zip(key[::2], key[1::2]))
     degree = sum(c * (n - 1) for n, c in pairs)
     h = degree // 2 + 1
     f = [1] + [0] * (h - 1)

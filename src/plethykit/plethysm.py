@@ -25,8 +25,9 @@ class SLInstance:
 
     lam: Partition
     d: int
-    # sl_key(lam, d), built at construction, which also rejects len(lam) > d + 1.
-    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # sl_key(lam, d), built at construction, which also rejects len(lam) > d + 1:
+    # one int while every nonzero count sits below hookcontent._SPAN, else a tuple.
+    key: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", canonical(self.lam))

@@ -49,7 +49,7 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
     count = 0
-    groups: dict[tuple[int, ...], list[SLInstance]] = {}
+    groups: dict[int | tuple[int, ...], list[SLInstance]] = {}
     for n in range(1, max_weight + 1):
         for lam in partitions_of(n, max_d):
             for d in range(len(lam), max_d + 1):

@@ -21,7 +21,9 @@ plethykit against.  The package itself calls none of them.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
   and ``per_cell_key``, the net q-integer exponents they give, the
   reference for the block-wise ``sl_key``; ``key_pairs`` checks that a
-  key is in ``sl_key``'s canonical form and reads its pairs back.
+  key is in ``sl_key``'s canonical form (an int below ``_SPAN``, a flat
+  tuple from there on) and reads its pairs back, and ``pack`` writes
+  pairs in that form.
 * ``CharacterData`` and ``character_data``: the full GL(2) character,
   the slow path for ``gl_isomorphic``.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import p_poly
+from plethykit.hookcontent import _SPAN, p_poly
 from plethykit.partition import Partition, b_statistic, canonical, weight
 from plethykit.plethysm import PlethysmInstance, SLInstance
 
@@ -80,13 +82,14 @@ def _over_one_minus(f: list[int], b: int) -> list[int]:
     return out[: len(f) - b]
 
 
-def full_p_poly(key: tuple[int, ...]) -> Poly:
-    """P = prod [n]^{c_n} from its key, expanded to its full degree: all
-    multiplications by (1 - q^n) happen before any division, each group
-    in increasing n, so every intermediate division is exact, and a
-    remainder raises InexactDivision."""
+def full_p_poly(key) -> Poly:
+    """P = prod [n]^{c_n} from its key, its pairs read by ``key_pairs``,
+    expanded to its full degree: all multiplications by (1 - q^n) happen
+    before any division, each group in increasing n, so every
+    intermediate division is exact, and a remainder raises
+    InexactDivision."""
     f = [1]
-    for n, c in sorted(zip(key[::2], key[1::2]), key=lambda nc: nc[1] < 0):
+    for n, c in sorted(key_pairs(key), key=lambda nc: (nc[1] < 0, nc[0])):
         step = _times_one_minus if c > 0 else _over_one_minus
         for _ in range(abs(c)):
             f = step(f, n)
@@ -243,15 +246,41 @@ def per_cell_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
     return frozenset((n, c) for n, c in net.items() if c)
 
 
-def key_pairs(key: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+def key_pairs(key) -> frozenset[tuple[int, int]]:
     """The pairs (n, c_n) of an ``sl_key``, after checking its canonical
-    form: (n_1, c_1, n_2, c_2, ...) with n strictly increasing and no
-    zero count."""
+    form, which the pairs decide: one int, whose balanced base-2^64
+    digits are the c_n, when every n is below ``_SPAN`` (0 for no pair),
+    and otherwise (n_1, c_1, n_2, c_2, ...) with n strictly increasing
+    and no zero count.  An int is read one digit at a time by ``divmod``,
+    apart from ``p_poly``'s reading."""
+    if type(key) is int:
+        pairs, n = [], 0
+        while key:
+            key, c = divmod(key, 1 << 64)
+            if c >= 1 << 63:  # a negative digit borrows from the next
+                c -= 1 << 64
+                key += 1
+            if c:
+                pairs.append((n, c))
+            n += 1
+        assert not pairs or pairs[-1][0] < _SPAN, pairs
+        return frozenset(pairs)
     assert isinstance(key, tuple) and len(key) % 2 == 0, key
     ns, counts = key[::2], key[1::2]
+    assert ns and ns[-1] >= _SPAN, key
     assert all(a < b for a, b in zip(ns, ns[1:])), key
     assert all(counts), key
     return frozenset(zip(ns, counts))
+
+
+def pack(pairs) -> int | tuple[int, ...]:
+    """The key in ``sl_key``'s form for the pairs (n, c_n), c_n != 0: the
+    int sum of c_n * 2^(64n) when every n is below ``_SPAN``, otherwise
+    the flat tuple in increasing n."""
+    pairs = sorted(pairs)
+    if not pairs or pairs[-1][0] < _SPAN:
+        return sum(c << 64 * n for n, c in pairs)
+    return tuple(x for pair in pairs for x in pair)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,16 @@ def test_family_corollaries():
     assert lines(result)[0]["verified"] is True
 
 
+def test_family_failing_its_pairwise_check_is_a_no(monkeypatch):
+    # Each family is a theorem, so only a fault fails the pairwise check;
+    # the CLI must still report it as a "no" (exit 1), not as success.
+    monkeypatch.setattr(cli, "pairwise_sl_isomorphic", lambda instances: False)
+    result = run(*FAMILY_MAIN)
+    assert result.exit_code == 1
+    assert lines(result)[0]["verified"] is False
+    assert result.stderr == "4 instances, pairwise SL check FAILED\n"
+
+
 # family command lines that must exit 2, each mapped to what stderr
 # must name: the offending option or parameter.
 BAD_FAMILY = {
@@ -199,6 +209,15 @@ def test_twist_witness():
     assert lines(result) == [
         {"found": True, "l": 1, "m": 2, "x": 2, "y": 0, "verified": True}
     ]
+
+
+def test_twist_default_bound_is_50():
+    # (52, 51) is (1,) with 51 full columns at d = 1: its least twist,
+    # (l, m) = (51, 0), lies one step past the default bound, which
+    # answers with l = 17 instead.
+    pair = ('{"lambda": [1], "d": 1}', '{"lambda": [52, 51], "d": 1}')
+    assert lines(run("twist", *pair)) == [{"found": True, "l": 17, "m": 1, "x": 1, "y": 0, "verified": True}]
+    assert lines(run("twist", *pair, "--bound", "51"))[0]["l"] == 51
 
 
 def test_twist_bound_zero_finds_nothing():
@@ -413,6 +432,18 @@ def test_internal_failure_exits_3(monkeypatch, module, name, exc, args):
     assert result.stderr.startswith(prefix), result.stderr
     assert result.stderr.endswith(" in fail)\n")
     assert result.stderr.count("\n") == 1
+
+
+def test_internal_failure_names_the_process_command_line(monkeypatch):
+    # With no argv, main reads sys.argv, whose first entry is the program.
+    monkeypatch.setattr(cli, "sl_isomorphic", _raise(ConsistencyError))
+    monkeypatch.setattr(cli.sys, "argv", ["plethykit", "verify", SL_A, SL_B])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == 3
+    prefix = f"internal error: ConsistencyError: injected (in plethykit verify {shlex.join([SL_A, SL_B])}; at "
+    assert err.getvalue().startswith(prefix), err.getvalue()
 
 
 def test_search_budget_is_invalid_input(monkeypatch):

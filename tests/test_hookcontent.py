@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _block_counts, p_poly, sl_key
+from plethykit.hookcontent import _SPAN, _block_counts, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.search import enumerate_classes
@@ -26,6 +26,7 @@ from .reference import (
     key_pairs,
     mul,
     p_of,
+    pack,
     per_cell_key,
     q_analog,
 )
@@ -291,6 +292,88 @@ def test_sl_key_size_does_not_depend_on_d():
     assert key_pairs(sl_key((2, 1), big)) == {(big, 1), (big + 1, 1), (big + 2, 1), (3, -1), (1, -2)}
 
 
+def test_sl_key_matches_per_cell_key_across_the_switch():
+    # Every |p| <= 6 with d from 3 below to 2 past the switch point
+    # d + p[0] = _SPAN, where the top content d + p[0] stops being below
+    # _SPAN: the key is the int on one side and the tuple on the other,
+    # and key_pairs checks that each form holds the counts it must.
+    instances = [
+        (p, d)
+        for n in range(1, 7)
+        for p in partitions_of(n, n)
+        for d in range(_SPAN - p[0] - 3, _SPAN - p[0] + 3)
+    ]
+    assert len(instances) == 29 * 6
+    for p, d in instances:
+        key = sl_key(p, d)
+        assert key_pairs(key) == per_cell_key(p, d), (p, d)
+        assert isinstance(key, int) == (d + p[0] < _SPAN), (p, d)
+
+
+def test_hermite_pairs_around_the_switch_have_equal_keys():
+    # ((p), q) and ((q), p) are SL-isomorphic (Hermite reciprocity).  One
+    # has disjoint hook and content ranges when the other's overlap, so
+    # they reach equal counts by different merges, and must reach them in
+    # one form on both sides of p + q = _SPAN.
+    for total in range(_SPAN - 2, _SPAN + 2):
+        for p in (1, 2, 3, total // 2, total - 3, total - 2, total - 1):
+            a, b = sl_key((p,), total - p), sl_key((total - p,), p)
+            assert a == b, (p, total - p)
+            assert isinstance(a, int) == (total < _SPAN)
+    assert key_pairs(sl_key((3,), _SPAN - 3)) == per_cell_key((3,), _SPAN - 3)
+    assert key_pairs(sl_key((_SPAN - 3,), 3)) == per_cell_key((_SPAN - 3,), 3)
+
+
+def test_cancelled_top_content_gives_the_int_key():
+    # At d = len(p) - 1 the top content d + p[0] cancels the hook of cell
+    # (1, 1), so a key whose merge starts on the tuple side can end below
+    # _SPAN: it must be the int that the same counts give on the fast side.
+    assert sl_key((_SPAN,), 0) == 0 == SLInstance((), 0).key
+    assert SLInstance((_SPAN,), 0).key == 0
+    # A full column of length d + 1 leaves P unchanged, so (p, 1, 1) at
+    # d = 2 has the key of (p - 1,) at d = 2, built on the fast side.
+    p = (_SPAN - 2, 1, 1)
+    key = sl_key(p, 2)
+    assert isinstance(key, int)
+    assert key == sl_key((_SPAN - 3,), 2)
+    assert key_pairs(key) == per_cell_key(p, 2)
+    # One part more keeps the top count at n = _SPAN: the tuple.
+    assert isinstance(sl_key((_SPAN - 1, 1, 1), 2), tuple)
+    # The widest partition the int side takes, m = p[0] + len(p) = _SPAN
+    # at d = len(p) - 1, whose halves _block_counts must still pack.
+    assert key_pairs(sl_key((_SPAN - 2, 1), 1)) == per_cell_key((_SPAN - 2, 1), 1)
+
+
+@pytest.mark.parametrize("p", [(3,), (2, 1), (2, 2), (3, 1, 1)])
+def test_p_poly_reads_both_forms_across_the_switch(p):
+    # The last int key, with top digit n = _SPAN - 1, and the first tuple,
+    # expanded by p_poly's digit reading and by the reference's divmod.
+    for d in (_SPAN - p[0] - 1, _SPAN - p[0]):
+        key = SLInstance(p, d).key
+        assert isinstance(key, int) == (d + p[0] < _SPAN)
+        assert p_poly(key) == full_p_poly(key), (p, d)
+
+
+@st.composite
+def _near_the_switch(draw):
+    """(p, d) with d within 4 of the switch point d + p[0] = _SPAN."""
+    p = draw(partitions(max_weight=8))
+    p = p or (1,)
+    return p, _SPAN - p[0] + draw(st.integers(-4, 3))
+
+
+@given(_near_the_switch(), _near_the_switch(), st.booleans())
+def test_equal_keys_iff_equal_counts_across_the_switch(a, b, conjugate_of_a):
+    # Conjugating p and moving d by p[0] - len(p) keeps the key exactly
+    # when p's diagonal lengths read the same backwards, so this draws
+    # equal and unequal pairs from both sides of the switch.
+    if conjugate_of_a:
+        b = (conjugate(a[0]), a[1] + a[0][0] - len(a[0]))
+    assert (sl_key(*a) == sl_key(*b)) == (per_cell_key(*a) == per_cell_key(*b))
+    for inst in (a, b):
+        assert key_pairs(sl_key(*inst)) == per_cell_key(*inst)
+
+
 @st.composite
 def _instances(draw, max_weight=12, max_d=10):
     p = draw(partitions(max_weight=max_weight, max_parts=max_d + 1))
@@ -312,7 +395,9 @@ def test_p_poly_matches_the_full_degree_expansion_on_every_class():
         assert p_poly(key) == full_p_poly(key) == cls.poly, key
 
 
-@pytest.mark.parametrize("key", [(1, 1, 2, -2, 4, 1), (1, 1, 2, -1)])
+@pytest.mark.parametrize(
+    "key", [pack([(1, 1), (2, -2), (4, 1)]), pack([(1, 1), (2, -1)])], ids=["key0", "key1"]
+)
 def test_p_poly_rejects_a_key_that_misses_its_dimension(key):
     # (1 - q)(1 - q^4) / (1 - q^2)^2 and (1 - q) / (1 - q^2) are not
     # polynomials; the truncated series cannot tell, the dimension can.

@@ -28,6 +28,7 @@ TESTS = {
     "staircase.py": ["tests/test_staircase.py", "tests/test_hookcontent.py", "tests/test_cli.py"],
     "twist.py": ["tests/test_twist.py", "tests/test_cli.py"],
     "search.py": ["tests/test_search.py", "tests/test_cli.py"],
+    "cli.py": ["tests/test_cli.py", "tests/test_readme.py", "tests/test_api_surface.py"],
 }
 SWAP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
