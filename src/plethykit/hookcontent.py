@@ -27,8 +27,12 @@ the partition's hooks and contents, memoized for the last 512
 partitions, and a cheap merge per d, so a partition asked for again
 under another d is counted once: ``search`` asks for every d of a
 partition in a row, and a staircase sweep meets one partition under
-several slacks, squares apart.  ``p_poly`` is memoized by key, so
-SL-isomorphic instances share one expansion.
+several slacks, squares apart.  A partition with p[0] + len(p) <= _SPAN
+is counted as two packed ints built from its rectangles' corners in
+O(r) big-int steps for r distinct parts; a wider one as one list of
+counts, from a second-difference array of the same corners, for its
+key is always merged on the tuple side.  ``p_poly`` is memoized by
+key, so SL-isomorphic instances share one expansion.
 
 A polynomial in q is a plain tuple of ints indexed by exponent, with no
 trailing zero, so () is zero and (1,) is one: equal polynomials are
@@ -46,33 +50,24 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, count
 from math import prod
 from operator import add, neg, sub
-from struct import pack, unpack
+from struct import unpack
 
 from .errors import InexactDivision, LengthExceedsDimension
 from .partition import Partition
 
 # A key is one int while every nonzero c_n has n below this; see sl_key.
 _SPAN = 256
+_SQUARE = ((1 << 64) - 1) ** 2  # (X - 1)^2, X = 2^64: see _block_counts
 
 
-@lru_cache(maxsize=512)
-def _block_counts(p: Partition) -> tuple[int, list[int], int | None, int | None]:
-    """The d-free half of ``sl_key``: (m, counts, hooks, contents) for a
-    nonempty p, with m = p[0] + len(p).  counts[n] is minus the number
-    of hooks equal to n, for 0 <= n < m, and counts[m + o] is the number
-    of cells with content offset o = c(u) + len(p) - 1, for 0 <= o <= m.
-    hooks and contents are the same two halves packed as ints, the
-    count of hook n (of offset o) in base-2^64 digit n (digit o), for
-    ``sl_key``'s int form; they are only packed, once per partition,
-    when m <= _SPAN, the widest p the int form is built from, and are
-    None otherwise, so a long p costs what its counts cost.
-
-    The memo holds 512 partitions, as many as each staircase memo above
-    it.  ``search`` asks for every d of a partition in a row, which one
-    entry would serve, but a staircase sweep does not: the benchmark's
-    17,451 squares ask 25,125 times for 9,077 distinct partitions, and
-    miss 25,100 times with one entry, 15,818 with 4, 12,782 with 512
-    and 11,843 with 1,024.  Callers never mutate the list.
+def _count_array(p: Partition) -> list[int]:
+    """The counts of a nonempty p in one list, with m = p[0] + len(p):
+    counts[n] is minus the number of hooks equal to n, for 0 <= n < m,
+    and counts[m + o] is the number of cells with content offset
+    o = c(u) + len(p) - 1, for 0 <= o <= m.  Each rectangle of
+    ``sl_key``'s docstring adds its four signed corners to a
+    second-difference array, and two prefix sums leave the counts, in
+    O(r^2 + m) time and O(m) memory for r distinct parts.
     """
     m = p[0] + len(p)
     parts, bottoms = [], []  # L_k and R_k
@@ -97,12 +92,56 @@ def _block_counts(p: Partition) -> tuple[int, list[int], int | None, int | None]
             diff[low + h] += 1
             diff[low + w] += 1
             diff[low + h + w] -= 1
-    counts = list(accumulate(accumulate(diff)))
+    return list(accumulate(accumulate(diff)))
+
+
+@lru_cache(maxsize=512)
+def _block_counts(p: Partition) -> tuple[int, list[int] | None, int | None, int | None]:
+    """The d-free half of ``sl_key``: (m, counts, hooks, contents) for a
+    nonempty p, with m = p[0] + len(p).  hooks and contents are
+    ``_count_array``'s two halves packed as ints, the count of hook n
+    (of content offset o) in base-2^64 digit n (digit o), for
+    ``sl_key``'s int form.  They are built, with counts None, when
+    m <= _SPAN, the widest p the int form is built from, so the memo
+    holds no list for such a p.  Above it counts is ``_count_array(p)``
+    and both ints are None: ``sl_key`` then always takes the tuple
+    branch, so packed halves would only be read back, and they grow
+    with m, 80 MB each for p = (10^7,), and twice that while being
+    built.
+
+    The ints come straight from the rectangle corners.  With X = 2^64,
+    the rectangle {low + a + b : a < h, b < w} sums to
+    X^low (X^h - 1)(X^w - 1) / (X - 1)^2 as digits.  So
+    contents * (X - 1)^2 is the sum over row blocks k of
+    X^(len(p) - R_k) (X^(m_k) - 1)(X^(L_k) - 1), and hooks, from the
+    pairs (k, l >= k), is X^(-m) (X - 1)^(-2) times the sum over k of
+    X^(L_k - R_k + 1 + len(p)) (X^(m_k) - 1) U_k, where
+    U_k = sum_{l >= k} X^(R_l - L_l + L_1) (X^(w_l) - 1) grows by one
+    term per block as the blocks are walked bottom up.  Every exponent
+    is nonnegative and both divisions and the shift are exact, so this
+    is O(r) big-int shifts and adds for r distinct parts, and each digit
+    is a count in [0, 2^63), the same ints the array packs.  The runs of
+    equal parts come from ``sorted(set(p))`` and ``p.count``, in C.
+
+    The memo holds 512 partitions, as many as each staircase memo above
+    it.  ``search`` asks for every d of a partition in a row, which one
+    entry would serve, but a staircase sweep does not: the benchmark's
+    17,451 squares ask 25,125 times for 9,077 distinct partitions, and
+    miss 25,100 times with one entry, 15,818 with 4, 12,782 with 512
+    and 11,843 with 1,024.  Callers never mutate the list.
+    """
+    m = p[0] + len(p)
     if m > _SPAN:
-        return m, counts, None, None
-    hooks = pack(f"<{m}Q", *map(neg, counts[:m]))
-    contents = pack(f"<{m + 1}Q", *counts[m:])
-    return m, counts, int.from_bytes(hooks, "little"), int.from_bytes(contents, "little")
+        return m, _count_array(p), None, None
+    R, below, U, hooks, contents = len(p), 0, 0, 0, 0  # R_k and L_(k+1)
+    for L in sorted(set(p)):
+        h = p.count(L)
+        U += ((1 << 64 * (L - below)) - 1) << 64 * (R - L + p[0])
+        hooks += ((U << 64 * h) - U) << 64 * (L - R + 1 + len(p))
+        rows = ((1 << 64 * L) - 1) << 64 * (len(p) - R)
+        contents += (rows << 64 * h) - rows
+        R, below = R - h, L
+    return m, None, (hooks >> 64 * m) // _SQUARE, contents // _SQUARE
 
 
 def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
@@ -166,22 +205,24 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
       L_k - L_l + R_l - R_k + 1 + a + b, 0 <= a < m_k, 0 <= b < w_l.
 
     The multiset {low + a + b : 0 <= a < h, 0 <= b < w} has generating
-    function q^low (1 - q^h)(1 - q^w) / (1 - q)^2.  So a content
-    rectangle adds +1, -1, -1, +1 at low, low+h, low+w, low+h+w of a
-    second-difference array, a hook rectangle adds the negatives, and
-    two prefix sums leave the counts.  With m = L_1 + len(p), hooks lie
-    in 1, ..., m-1 and contents in first, ..., first+m-2, where
+    function q^low (1 - q^h)(1 - q^w) / (1 - q)^2, four signed corners
+    over a double prefix sum.  With m = L_1 + len(p), hooks lie in
+    1, ..., m-1 and contents in first, ..., first+m-2, where
     first = d+2-len(p): only the contents depend on d, and only by that
-    shift.  So ``_block_counts`` counts once per partition, in one array,
-    the negated hooks in slots 0..m-1 and the contents by offset from
-    slot m on, and the key for each d merges the two halves.  The int is
-    one shift and one subtraction of the halves packed as ints,
+    shift.  So ``_block_counts`` counts once per partition, the hooks
+    and the contents apart, and the key for each d merges the two.  For
+    m <= _SPAN it packs each half as an int straight from the corners,
+    in O(r) big-int steps for r distinct parts (the identity is in its
+    docstring), and the int key is one shift and one subtraction,
     (contents << 64 * first) - hooks, exact because every digit stays
-    in range.  The tuple reads the array: when first >= m the ranges are
-    disjoint and the halves are read as they are, otherwise the
-    contents are added to the hooks from slot first on.  The counts take
-    O(r^2 + L_1 + len(p)) time and memory once per partition, and each
-    merge O(L_1 + len(p)), or O(_SPAN) for the int, whatever d is.
+    in range.  Above _SPAN, where d + L_1 >= m - 1 >= _SPAN always
+    leads to the tuple branch, it keeps one list of counts instead, from
+    a second-difference array in O(r^2 + m) (``_count_array``).  The
+    tuple reads that list, or for a packed p the two ints read back with
+    one ``unpack`` each: when first >= m the ranges are disjoint and the
+    halves are read as they are, otherwise the contents are added to
+    the hooks from slot first on.  Each merge takes O(L_1 + len(p)), or
+    O(_SPAN) for the int, whatever d is.
 
     The unchecked kernel of ``SLInstance``, its one caller in the
     package and the one parser of (p, d): p must already be a canonical
@@ -196,6 +237,9 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     first = d + 2 - len(p)
     if d + p[0] < _SPAN:
         return (contents << 64 * first) - hooks
+    if counts is None:  # packed, so m <= _SPAN: read the halves back
+        counts = [*map(neg, unpack(f"<{m}Q", hooks.to_bytes(8 * m, "little")))]
+        counts += unpack(f"<{m + 1}Q", contents.to_bytes(8 * m + 8, "little"))
     if first >= m:
         ns = chain(range(m), count(first))
     else:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _SPAN, _block_counts, p_poly, sl_key
+from plethykit.hookcontent import _SPAN, _block_counts, _count_array, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.search import enumerate_classes
@@ -342,6 +342,89 @@ def test_cancelled_top_content_gives_the_int_key():
     # The widest partition the int side takes, m = p[0] + len(p) = _SPAN
     # at d = len(p) - 1, whose halves _block_counts must still pack.
     assert key_pairs(sl_key((_SPAN - 2, 1), 1)) == per_cell_key((_SPAN - 2, 1), 1)
+
+
+def _packed_halves(p):
+    """_count_array's counts for p, the hooks negated, each half packed
+    as base-2^64 digits by plain shifts: the ints _block_counts builds
+    from the corners, by another route."""
+    m, counts = p[0] + len(p), _count_array(p)
+    assert len(counts) == 2 * m + 1
+    hooks = sum(-c << 64 * n for n, c in enumerate(counts[:m]))
+    contents = sum(c << 64 * o for o, c in enumerate(counts[m:]))
+    return hooks, contents
+
+
+def test_corner_ints_equal_the_packed_array_exhaustively():
+    # Every nonempty |p| <= 12: the two ways of counting a partition,
+    # the corner ints and the second-difference array, agree digit for digit.
+    shapes = [p for n in range(1, 13) for p in partitions_of(n, n)]
+    assert len(shapes) == 271
+    for p in shapes:
+        assert _block_counts(p) == (p[0] + len(p), None, *_packed_halves(p)), p
+
+
+@st.composite
+def _packed_shapes(draw):
+    """Partitions with m = p[0] + len(p) <= _SPAN, from one distinct part
+    to over a hundred, each part repeated up to four times."""
+    top = draw(st.integers(1, _SPAN - 1))
+    rest = draw(st.lists(st.integers(1, top), max_size=_SPAN - 1 - top))
+    repeat = draw(st.integers(1, 4))
+    return tuple(sorted([top, *rest] * repeat, reverse=True))[: _SPAN - top]
+
+
+@settings(deadline=None)
+@given(_packed_shapes())
+def test_corner_ints_equal_the_packed_array(p):
+    assert p[0] + len(p) <= _SPAN
+    assert _block_counts(p) == (p[0] + len(p), None, *_packed_halves(p))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (_SPAN - 1,),
+        (_SPAN,),
+        (_SPAN - 3, 2, 1),
+        (_SPAN - 2, 2, 1),
+        (_SPAN - 4, _SPAN - 4, 1, 1),
+        (_SPAN - 3, _SPAN - 3, 1, 1),
+        tuple(range(_SPAN // 2, 0, -1)),
+        tuple(range(_SPAN // 2 + 1, 1, -1)),
+    ],
+)
+def test_the_counting_switch_keeps_keys_exact(p):
+    # m = _SPAN is the widest partition counted from the corners and
+    # m = _SPAN + 1 the narrowest counted by the array, on one and on
+    # many distinct parts, each at the least d, at the first d past the
+    # int form's fast side and at a large d.
+    m = p[0] + len(p)
+    assert m in (_SPAN, _SPAN + 1)
+    assert (_block_counts(p)[1] is None) == (m <= _SPAN)
+    for d in (len(p) - 1, _SPAN - p[0], 10**6):
+        assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+def test_packed_counts_are_read_back_for_the_tuple_key():
+    # Every nonempty |p| <= 6 at d where the key is built as the tuple
+    # from a packed partition: its counts are read back from the two ints.
+    shapes = [p for n in range(1, 7) for p in partitions_of(n, n)]
+    for p in shapes:
+        assert _block_counts(p)[1] is None
+        for d in (_SPAN - p[0], 10**6, 10**18):
+            assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+
+
+def test_packed_partitions_keep_no_counts_list():
+    # A partition the int form takes is held in the count memo as its two
+    # packed ints only, so the memo's 512 entries hold no lists of counts
+    # on the staircase sweeps; a wider one keeps its list and no ints.
+    for p in [(1,), (3, 2, 1), (_SPAN - 1,), tuple(range(_SPAN // 2, 0, -1))]:
+        m, counts, hooks, contents = _block_counts(p)
+        assert counts is None and type(hooks) is int and type(contents) is int, p
+    m, counts, hooks, contents = _block_counts((_SPAN,))
+    assert hooks is None and contents is None and len(counts) == 2 * m + 1
 
 
 @pytest.mark.parametrize("p", [(3,), (2, 1), (2, 2), (3, 1, 1)])

@@ -4,7 +4,9 @@ Each mutant changes one site of the module: it flips a comparison,
 swaps + and - or * and //, swaps and and or, or adds 1 to an integer
 constant.  It is written into a temporary copy of the repository, where
 the test files mapped to the module run with ``pytest -x``; a mutant
-that passes them all survives.  One line per mutant, then the score:
+that passes them all survives.  A mutant that runs past five times the
+unmutated run plus 30 s, or past 300 s, counts as killed: it made the
+code slow, if not wrong.  One line per mutant, then the score:
 
     python3 tools/mutants.py hookcontent.py
 
@@ -17,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +37,7 @@ SWAP = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In,
         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
         ast.And: ast.Or, ast.Or: ast.And}
-TIMEOUT_S = 300  # a mutant that loops is killed
+TIMEOUT_S = 300  # the most a mutant may run; see main for the usual limit
 
 
 class Mutator(ast.NodeTransformer):
@@ -70,11 +73,11 @@ class Mutator(ast.NodeTransformer):
         return node
 
 
-def passes(copy: Path, tests: list[str]) -> bool:
+def passes(copy: Path, tests: list[str], timeout: float) -> bool:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        run = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        run = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return run.returncode == 0
@@ -88,12 +91,15 @@ def main(module: str) -> None:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         target = copy / "src" / "plethykit" / module
-        if not passes(copy, TESTS[module]):
+        start = time.monotonic()
+        if not passes(copy, TESTS[module], TIMEOUT_S):
             sys.exit(f"the mapped tests fail on the unmutated {module}")
+        timeout = min(TIMEOUT_S, 5 * (time.monotonic() - start) + 30)
+        print(f"each mutant runs at most {timeout:.0f} s", flush=True)
         killed = 0
         for i, site in enumerate(sites.sites):
             target.write_text(ast.unparse(Mutator(i).visit(ast.parse(source))))
-            survived = passes(copy, TESTS[module])
+            survived = passes(copy, TESTS[module], timeout)
             killed += not survived
             print(f"{i:3} {site}: {'SURVIVED' if survived else 'killed'}", flush=True)
     print(f"{module}: {killed}/{len(sites.sites)} mutants killed")
