@@ -43,8 +43,10 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
 
     The partition is the outer loop and d the inner one, so the d-free
     half of ``sl_key`` counts each partition's hooks and contents once
-    for all its d, whatever the size of its memo.  The order does
-    not reach the output: members and classes are sorted after grouping.
+    for all its d with d + p[0] < hookcontent._SPAN, whatever the size
+    of its memo; past that, each key comes from its corners.  The order
+    does not reach the output: members and classes are sorted after
+    grouping.
 
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """

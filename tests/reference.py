@@ -22,8 +22,8 @@ plethykit against.  The package itself calls none of them.
   and ``per_cell_key``, the net q-integer exponents they give, the
   reference for the block-wise ``sl_key``; ``key_pairs`` checks that a
   key is in ``sl_key``'s canonical form (an int below ``_SPAN``, a flat
-  tuple from there on) and reads its pairs back, and ``pack`` writes
-  pairs in that form.
+  tuple of second-difference corners from there on) and reads its pairs
+  back, and ``pack`` writes pairs in that form.
 * ``CharacterData`` and ``character_data``: the full GL(2) character,
   the slow path for ``gl_isomorphic``.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
@@ -250,9 +250,13 @@ def key_pairs(key) -> frozenset[tuple[int, int]]:
     """The pairs (n, c_n) of an ``sl_key``, after checking its canonical
     form, which the pairs decide: one int, whose balanced base-2^64
     digits are the c_n, when every n is below ``_SPAN`` (0 for no pair),
-    and otherwise (n_1, c_1, n_2, c_2, ...) with n strictly increasing
-    and no zero count.  An int is read one digit at a time by ``divmod``,
-    apart from ``p_poly``'s reading."""
+    and otherwise the corners (n_1, t_1, n_2, t_2, ...) of the second
+    difference t_n = c_n - 2 c_(n-1) + c_(n-2), with n strictly
+    increasing, no zero t_n, and top n - 2, the top nonzero c_n, at
+    ``_SPAN`` or above.  An int is read one digit at a time by
+    ``divmod``, apart from ``p_poly``'s reading; a tuple by a walk over
+    its corners, between which c_n is linear, apart from ``p_poly``'s
+    dense prefix sums."""
     if type(key) is int:
         pairs, n = [], 0
         while key:
@@ -266,21 +270,35 @@ def key_pairs(key) -> frozenset[tuple[int, int]]:
         assert not pairs or pairs[-1][0] < _SPAN, pairs
         return frozenset(pairs)
     assert isinstance(key, tuple) and len(key) % 2 == 0, key
-    ns, counts = key[::2], key[1::2]
-    assert ns and ns[-1] >= _SPAN, key
+    ns, ts = key[::2], key[1::2]
+    assert ns and ns[-1] - 2 >= _SPAN, key
     assert all(a < b for a, b in zip(ns, ns[1:])), key
-    assert all(counts), key
-    return frozenset(zip(ns, counts))
+    assert all(ts), key
+    # (1 - q)^2 divides sum t_n q^n, so the c_n have finite support.
+    assert sum(ts) == 0 and sum(n * t for n, t in zip(ns, ts)) == 0, key
+    pairs, slope, c = [], 0, 0
+    for n, t, end in zip(ns, ts, ns[1:]):
+        slope += t
+        if slope or c:  # a run of zeros is skipped, whatever its length
+            for m in range(n, end):
+                c += slope
+                if c:
+                    pairs.append((m, c))
+    return frozenset(pairs)
 
 
 def pack(pairs) -> int | tuple[int, ...]:
     """The key in ``sl_key``'s form for the pairs (n, c_n), c_n != 0: the
     int sum of c_n * 2^(64n) when every n is below ``_SPAN``, otherwise
-    the flat tuple in increasing n."""
+    the flat tuple of the nonzero second differences in increasing n."""
     pairs = sorted(pairs)
     if not pairs or pairs[-1][0] < _SPAN:
         return sum(c << 64 * n for n, c in pairs)
-    return tuple(x for pair in pairs for x in pair)
+    corners = Counter()
+    for n, c in pairs:
+        corners.update({n: c, n + 2: c})
+        corners[n + 1] -= 2 * c
+    return tuple(x for corner in sorted(corners.items()) if corner[1] for x in corner)
 
 
 @dataclass(frozen=True)

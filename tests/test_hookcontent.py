@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _SPAN, _block_counts, _count_array, p_poly, sl_key
+from plethykit.hookcontent import _SPAN, _block_counts, p_poly, sl_key
 from plethykit.partition import b_statistic, partitions_of, weight
 from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.search import enumerate_classes
@@ -292,6 +293,33 @@ def test_sl_key_size_does_not_depend_on_d():
     assert key_pairs(sl_key((2, 1), big)) == {(big, 1), (big + 1, 1), (big + 2, 1), (3, -1), (1, -2)}
 
 
+def test_a_long_row_at_d_0_is_the_trivial_module():
+    # Contents and hooks of one row at d = 0 are both 1, ..., p[0], so
+    # P = 1 for a row of 10^12 cells as for the empty partition: the key
+    # must come from the row's corners, not from slots indexed by n.
+    assert SLInstance((10**12,), 0).key == SLInstance((), 0).key
+
+
+@given(st.integers(1, 10**18), st.integers(1, 10**18))
+def test_hermite_reciprocity_at_any_size(a, b):
+    # S^a(S^b C^2) and S^b(S^a C^2) are SL-isomorphic (Hermite
+    # reciprocity), and one more d raises the dimension of the first.
+    assert SLInstance((a,), b).key == SLInstance((b,), a).key
+    assert SLInstance((a,), b + 1).key != SLInstance((b,), a).key
+
+
+def test_keying_a_wide_instance_allocates_no_array():
+    # ((10^6), 2*10^6) has four rectangle corners a side; an array of
+    # counts indexed by n would take tens of MB.
+    tracemalloc.start()
+    try:
+        sl_key((10**6,), 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_sl_key_matches_per_cell_key_across_the_switch():
     # Every |p| <= 6 with d from 3 below to 2 past the switch point
     # d + p[0] = _SPAN, where the top content d + p[0] stops being below
@@ -345,23 +373,22 @@ def test_cancelled_top_content_gives_the_int_key():
 
 
 def _packed_halves(p):
-    """_count_array's counts for p, the hooks negated, each half packed
-    as base-2^64 digits by plain shifts: the ints _block_counts builds
-    from the corners, by another route."""
-    m, counts = p[0] + len(p), _count_array(p)
-    assert len(counts) == 2 * m + 1
-    hooks = sum(-c << 64 * n for n, c in enumerate(counts[:m]))
-    contents = sum(c << 64 * o for o, c in enumerate(counts[m:]))
+    """p's hooks and contents counted cell by cell, each half packed as
+    base-2^64 digits by plain shifts, hook n at digit n and content c at
+    digit c + len(p) - 1: the ints _block_counts builds from the corners,
+    by another route."""
+    hooks = sum(1 << 64 * hook_length(p, u) for u in cells(p))
+    contents = sum(1 << 64 * (content(p, u) + len(p) - 1) for u in cells(p))
     return hooks, contents
 
 
-def test_corner_ints_equal_the_packed_array_exhaustively():
+def test_corner_ints_equal_the_packed_cells_exhaustively():
     # Every nonempty |p| <= 12: the two ways of counting a partition,
-    # the corner ints and the second-difference array, agree digit for digit.
+    # the corner ints and the cells packed one by one, agree digit for digit.
     shapes = [p for n in range(1, 13) for p in partitions_of(n, n)]
     assert len(shapes) == 271
     for p in shapes:
-        assert _block_counts(p) == (p[0] + len(p), None, *_packed_halves(p)), p
+        assert _block_counts(p) == _packed_halves(p), p
 
 
 @st.composite
@@ -376,9 +403,9 @@ def _packed_shapes(draw):
 
 @settings(deadline=None)
 @given(_packed_shapes())
-def test_corner_ints_equal_the_packed_array(p):
+def test_corner_ints_equal_the_packed_cells(p):
     assert p[0] + len(p) <= _SPAN
-    assert _block_counts(p) == (p[0] + len(p), None, *_packed_halves(p))
+    assert _block_counts(p) == _packed_halves(p)
 
 
 @pytest.mark.parametrize(
@@ -395,36 +422,42 @@ def test_corner_ints_equal_the_packed_array(p):
     ],
 )
 def test_the_counting_switch_keeps_keys_exact(p):
-    # m = _SPAN is the widest partition counted from the corners and
-    # m = _SPAN + 1 the narrowest counted by the array, on one and on
-    # many distinct parts, each at the least d, at the first d past the
-    # int form's fast side and at a large d.
+    # m = _SPAN is the widest partition _block_counts packs, at its least
+    # d, and m = _SPAN + 1 the narrowest that is keyed from the corners
+    # at every d, on one and on many distinct parts, each at the least d,
+    # at the first d past the int form's fast side and at a large d.
     m = p[0] + len(p)
     assert m in (_SPAN, _SPAN + 1)
-    assert (_block_counts(p)[1] is None) == (m <= _SPAN)
     for d in (len(p) - 1, _SPAN - p[0], 10**6):
+        _block_counts.cache_clear()
         assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+        assert _block_counts.cache_info().currsize == (d + p[0] < _SPAN), (p, d)
 
 
-def test_packed_counts_are_read_back_for_the_tuple_key():
-    # Every nonempty |p| <= 6 at d where the key is built as the tuple
-    # from a packed partition: its counts are read back from the two ints.
+def test_tuple_keys_of_packed_partitions_come_from_the_corners():
+    # Every nonempty |p| <= 6 at d where the key is the tuple, though
+    # _block_counts could pack p: the key comes from the corners, and
+    # the count memo is not entered.
     shapes = [p for n in range(1, 7) for p in partitions_of(n, n)]
     for p in shapes:
-        assert _block_counts(p)[1] is None
         for d in (_SPAN - p[0], 10**6, 10**18):
+            _block_counts.cache_clear()
             assert key_pairs(sl_key(p, d)) == per_cell_key(p, d), (p, d)
+            assert _block_counts.cache_info().currsize == 0, (p, d)
 
 
 def test_packed_partitions_keep_no_counts_list():
     # A partition the int form takes is held in the count memo as its two
     # packed ints only, so the memo's 512 entries hold no lists of counts
-    # on the staircase sweeps; a wider one keeps its list and no ints.
+    # on the staircase sweeps; a wider one, keyed from its corners at
+    # every d, enters no memo.
     for p in [(1,), (3, 2, 1), (_SPAN - 1,), tuple(range(_SPAN // 2, 0, -1))]:
-        m, counts, hooks, contents = _block_counts(p)
-        assert counts is None and type(hooks) is int and type(contents) is int, p
-    m, counts, hooks, contents = _block_counts((_SPAN,))
-    assert hooks is None and contents is None and len(counts) == 2 * m + 1
+        hooks, contents = _block_counts(p)
+        assert type(hooks) is int and type(contents) is int, p
+    _block_counts.cache_clear()
+    assert key_pairs(sl_key((_SPAN,), 0)) == frozenset()
+    assert key_pairs(sl_key((_SPAN,), 1)) == per_cell_key((_SPAN,), 1)
+    assert _block_counts.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p", [(3,), (2, 1), (2, 2), (3, 1, 1)])
