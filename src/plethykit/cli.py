@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import BudgetExceeded, ConsistencyError, EmptyDiagram, LengthExceedsDimension, NotSLIsomorphic
-from .hookcontent import p_poly
+from .hookcontent import p_poly, sl_key
 from .partition import b_statistic, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
@@ -127,7 +127,7 @@ def oracle_check(args) -> int:
     for n in range(1, args.max_weight + 1):
         for lam in partitions_of(n, n):
             for d in range(len(lam) - 1, args.max_d + 1):
-                expected = (0,) * b_statistic(lam) + p_poly(SLInstance(lam, d).key)
+                expected = (0,) * b_statistic(lam) + p_poly(sl_key(lam, d))
                 if args.inject_fault:  # a new top coefficient, so it always differs
                     expected += (1,)
                 routes = {

@@ -17,9 +17,8 @@ time, one rectangle per block of equal rows for the contents and one
 per (row block, column block) pair for the hooks, so its cost grows
 with the number of distinct parts, not with the cell count, p[0] or d.
 Instances are compared and grouped by their keys, read through
-``SLInstance.key``, the one parser of (p, d); ``p_poly`` turns a key
-into its printed form, the polynomial, only where one is shown or
-compared as one.
+``SLInstance.key``; ``p_poly`` turns a key into its printed form, the
+polynomial, only where one is shown or compared as one.
 
 ``sl_key`` keeps no key: a caller whose traffic repeats an instance
 memoizes it, as ``staircase`` does.  While d + p[0] < _SPAN, where
@@ -83,12 +82,12 @@ def _block_counts(p: Partition) -> tuple[int, int]:
     is a count in [0, 2^63).  The runs of equal parts come from
     ``sorted(set(p))`` and ``p.count``, in C.
 
-    The memo holds 512 partitions, as many as each staircase memo above
-    it.  ``search`` asks for every d of a partition in a row, which one
-    entry would serve, but a staircase sweep does not: the benchmark's
-    17,451 squares ask 25,125 times for 9,077 distinct partitions, and
-    miss 25,100 times with one entry, 15,818 with 4, 12,782 with 512
-    and 11,843 with 1,024.
+    The memo holds 512 partitions, as many as the staircase member memo
+    above it.  ``search`` asks for every d of a partition in a row, which
+    one entry would serve, but a staircase sweep does not: the
+    benchmark's 17,451 squares ask 33,904 times for 9,077 distinct
+    partitions, and miss 33,752 times with one entry, 20,918 with 4,
+    12,751 with 512 and 11,836 with 1,024.
     """
     m = p[0] + len(p)
     R, below, U, hooks, contents = len(p), 0, 0, 0, 0  # R_k and L_(k+1)
@@ -184,10 +183,12 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     so _SPAN stays at 256, where the int is still no larger than the
     tuple of a larger partition.
 
-    The unchecked kernel of ``SLInstance``, its one caller in the
-    package and the one parser of (p, d): p must already be a canonical
-    partition and d a nonnegative int.  Raises LengthExceedsDimension
-    unless length(p) <= d+1.
+    The unchecked kernel: p must already be a canonical partition and d
+    a nonnegative int.  ``SLInstance``, the one parser of (p, d) from
+    outside, checks both before it calls this; the package's own
+    producers (staircase members, ``search`` and ``oracle-check``) call
+    it on pairs they built valid.  Raises LengthExceedsDimension unless
+    length(p) <= d+1.
     """
     if len(p) > d + 1:
         raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
@@ -241,7 +242,7 @@ def p_poly(key: int | tuple[int, ...]) -> tuple[int, ...]:
     prod_{c_n>0} n^{c_n}, or InexactDivision is raised.  That check is
     weaker than exact division: a key whose factors do not divide can
     still pass it, which the oracle routes and the full-degree
-    reference in the tests rule out for keys that ``SLInstance`` builds.
+    reference in the tests rule out for keys that ``sl_key`` builds.
     """
     if isinstance(key, int):
         k = abs(key).bit_length() // 64 + 1

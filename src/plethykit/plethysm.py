@@ -36,6 +36,23 @@ class SLInstance:
             raise ValueError(f"d must be nonnegative, got {self.d}")
         object.__setattr__(self, "key", sl_key(self.lam, self.d))
 
+    @classmethod
+    def _of(cls, lam: Partition, d: int, key: int | tuple[int, ...]) -> "SLInstance":
+        """The instance (lam, d) with the key given, built without checks.
+
+        For the package's own producers only, whose lam is already a
+        canonical partition, d a nonnegative int with len(lam) <= d + 1
+        and key sl_key(lam, d).  Input from outside goes through
+        SLInstance(lam, d) or ``from_json``, which check all of that.
+        """
+        inst = object.__new__(cls)
+        # one field at a time, as __post_init__ does: a write through
+        # __dict__ would give every instance a dict of its own
+        object.__setattr__(inst, "lam", lam)
+        object.__setattr__(inst, "d", d)
+        object.__setattr__(inst, "key", key)
+        return inst
+
     def to_json(self) -> dict:
         return {"lambda": list(self.lam), "d": self.d}
 

@@ -1,10 +1,11 @@
 """Bounded enumeration of SL-equivalence classes of plethysm instances.
 
 Instances (lam, d) with 1 <= |lam| <= max_weight and length(lam) <= d
-<= max_d are grouped by ``SLInstance.key``, the complete SL-isomorphism
-invariant that ``sl_isomorphic`` compares; the class's P polynomial,
-a coefficient tuple as ``p_poly`` returns it, is the key's printed form
-and is expanded once per reported class from the key its members hold.
+<= max_d are grouped by ``sl_key``, the complete SL-isomorphism
+invariant that ``sl_isomorphic`` compares as ``SLInstance.key``; the
+class's P polynomial, a coefficient tuple as ``p_poly`` returns it, is
+the key's printed form and is expanded once per reported class from the
+key its members hold.
 Classes with at least two members are reported, and each member pair
 is labelled, in O(1) from its weights and degrees, by how (or whether)
 the SL-isomorphism upgrades to a GL one.
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
-from .hookcontent import p_poly
-from .partition import partitions_of, weight
+from .hookcontent import p_poly, sl_key
+from .partition import Partition, partitions_of, weight
 from .plethysm import SLInstance
 from .twist import nu2_obstruction
 
@@ -35,10 +36,14 @@ class EquivalenceClass:
 
 
 def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
-    """Group all normalized instances within the bounds by ``SLInstance.key``.
+    """Group all normalized instances within the bounds by ``sl_key``.
 
-    Only classes with two or more members are returned, each with its P
-    polynomial expanded once from its first member's key, sorted by P's length
+    The instances are grouped as plain (d, lam) pairs, each keyed once,
+    and an ``SLInstance`` is built only for a member of a reported class,
+    unchecked and with its group's key: ``partitions_of`` yields
+    canonical partitions and d runs from len(lam), so every pair is
+    valid.  Only classes with two or more members are returned, each with
+    its P polynomial expanded once from that key, sorted by P's length
     (its degree plus one) and then lexicographically by P's coefficients.
 
     The partition is the outer loop and d the inner one, so the d-free
@@ -51,20 +56,20 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
     """
     count = 0
-    groups: dict[int | tuple[int, ...], list[SLInstance]] = {}
+    groups: dict[int | tuple[int, ...], list[tuple[int, Partition]]] = {}
     for n in range(1, max_weight + 1):
         for lam in partitions_of(n, max_d):
             for d in range(len(lam), max_d + 1):
                 count += 1
                 if count > INSTANCE_CAP:
                     raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")
-                inst = SLInstance(lam, d)
-                groups.setdefault(inst.key, []).append(inst)
+                groups.setdefault(sl_key(lam, d), []).append((d, lam))
     classes = []
-    for members in groups.values():
+    for key, members in groups.items():
         if len(members) >= 2:
-            members.sort(key=lambda i: (i.d, i.lam))
-            classes.append(EquivalenceClass(p_poly(members[0].key), tuple(members)))
+            members.sort()
+            instances = tuple(SLInstance._of(lam, d, key) for d, lam in members)
+            classes.append(EquivalenceClass(p_poly(key), instances))
     classes.sort(key=lambda c: (len(c.poly), c.poly))
     return classes
 

@@ -14,25 +14,27 @@ families, staircase configurations that are pairwise SL-isomorphic for
 every choice of their parameters.  Each corollary family is two main
 squares glued along two shared members.
 
-Members are built through three memos of 512 entries each, one per
-kind of repeat a sweep over a parameter grid makes.  ``_member``
-catches a repeated descriptor: the square with u and v swapped has the
-same four descriptors, and u = v repeats two within one square.  Below
-it the instance memo catches distinct descriptors of one instance: a
-zero width or height merges two blocks, so neighbouring squares share
-members written differently.  Below both, the key's count memo in
-``hookcontent`` catches a repeated partition under a new d: squares
-that differ only in a member's slack share its partition.  The two
-memos here match by == and hash, under which True and 1.0 equal 1, so
-every entry is checked to be an int before the lookup: once per call
-by the family builders, for their parameters, and by ``to_instance``,
-for the descriptor it is given.
+Members are built through two memos of 512 entries each, one per kind
+of repeat a sweep over a parameter grid makes.  ``_member`` catches a
+repeated descriptor: the square with u and v swapped has the same four
+descriptors, and u = v repeats two within one square.  Below it, the
+key's count memo in ``hookcontent`` catches a repeated partition under
+a new d or a new descriptor: squares that differ only in a member's
+slack share its partition, and a zero width or height merges two
+blocks, so neighbouring squares share members written differently.
+A member's rows are a canonical partition and its d a nonnegative int
+by construction, so it is built unchecked, through ``SLInstance._of``.
+The descriptor memo matches by == and hash, under which True and 1.0
+equal 1, so every entry is checked to be an int before the lookup:
+once per call by the family builders, for their parameters, and by
+``to_instance``, for the descriptor it is given.
 """
 
 from functools import lru_cache, partial
 from itertools import accumulate
 
 from .errors import EmptyDiagram
+from .hookcontent import sl_key
 from .partition import require_ints
 from .plethysm import SLInstance, sl_isomorphic
 
@@ -57,9 +59,10 @@ def to_instance(s: Descriptor) -> SLInstance:
 def _member(s: Descriptor) -> SLInstance:
     """``to_instance`` after its int check, memoized by descriptor.
     Callers check the entries first, since the memo would answer (1.0,)
-    or (True,) with the instance of (1,).  The instance comes from the
-    instance memo, keyed by the rows with zero-length blocks left out,
-    which are the partition, and by d."""
+    or (True,) with the instance of (1,).  The rows, with zero-length
+    blocks left out, are weakly decreasing positive ints, at most d + 1
+    of them, so the instance is built unchecked from them, d and their
+    ``sl_key``."""
     widths, heights_slack = s
     if len(heights_slack) != len(widths) + 1:
         raise ValueError("need exactly one more height than widths")
@@ -73,11 +76,8 @@ def _member(s: Descriptor) -> SLInstance:
     for length, h in zip(reversed(list(accumulate(widths))), heights_slack):
         if length:
             rows += [length] * h
-    return _instance(tuple(rows), d)
-
-
-# The instance memo: one SLInstance, and so one key, per (lambda, d).
-_instance = lru_cache(maxsize=512)(SLInstance)
+    rows = tuple(rows)
+    return SLInstance._of(rows, d, sl_key(rows, d))
 
 
 def reverse(s: Descriptor) -> Descriptor:

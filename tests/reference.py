@@ -1,9 +1,9 @@
 """Slow, independent reference implementations the tests compare
 plethykit against.  The package itself calls none of them.
 
-* ``p_of``: P^d_p the one way the package reaches it, ``p_poly`` of
+* ``p_of``: P^d_p as the package reaches it, ``p_poly`` of
   ``SLInstance(p, d).key``, so a test asks for P by (p, d) through the
-  one parser of (p, d).
+  checked parser of (p, d).
 * ``mul``, ``exact_div``, ``q_analog`` and ``ONE``: schoolbook ring
   operations on coefficient tuples, the product/quotient reference for
   ``p_poly`` (which works through (1 - q^n) passes instead);
@@ -33,6 +33,9 @@ plethykit against.  The package itself calls none of them.
   complement that ``staircase.reverse`` must realize, the full-column
   strip, and the two moves on an ``SLInstance`` built from them, which
   must leave ``SLInstance.key`` unchanged.
+* ``check_as_parsed``: an instance the package built without checks,
+  through ``SLInstance._of``, against the checked parse of its own
+  fields, the reference for every producer inside the package.
 """
 
 from collections import Counter
@@ -380,3 +383,13 @@ def dual(a: SLInstance) -> SLInstance:
     Always SL-isomorphic to the input.
     """
     return replace(a, lam=complement(a.lam, a.d + 1))
+
+
+def check_as_parsed(inst: SLInstance) -> None:
+    """Assert that ``SLInstance(inst.lam, inst.d)`` accepts the fields of
+    an instance built without checks and gives it back, key and all, so
+    that lam is a canonical partition tuple; and, since == takes True
+    and 1.0 for 1, that d and every part are plain ints."""
+    parsed = SLInstance(inst.lam, inst.d)
+    assert (inst, inst.key) == (parsed, parsed.key), inst
+    assert type(inst.d) is int and all(type(part) is int for part in inst.lam), inst

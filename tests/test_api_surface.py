@@ -15,7 +15,7 @@ from pathlib import Path
 
 import plethykit
 from plethykit.hookcontent import _block_counts, p_poly
-from plethykit.staircase import _instance, _member
+from plethykit.staircase import _member
 
 from .test_cli import SL_A, SL_B, run
 from .test_readme import README
@@ -75,7 +75,6 @@ def _reached_code():
     p_poly.cache_clear()  # a cached call would not enter p_poly or its helpers
     _block_counts.cache_clear()  # nor would a remembered partition enter _block_counts
     _member.cache_clear()  # nor would a remembered member enter _member
-    _instance.cache_clear()  # nor would a remembered instance enter SLInstance
     sys.setprofile(profile)
     try:
         doctest_result = doctest.testfile(str(README), module_relative=False)

@@ -9,8 +9,10 @@ import pytest
 from plethykit import cli, search, staircase, twist
 from plethykit.cli import main
 from plethykit.errors import ConsistencyError, InexactDivision
-from plethykit.hookcontent import p_poly
+from plethykit.hookcontent import p_poly, sl_key
 from plethykit.oracle import specialize_bialternant, specialize_ssyt
+from plethykit.partition import partitions_of
+from plethykit.plethysm import SLInstance
 
 from .reference import ONE
 
@@ -389,13 +391,35 @@ def test_oracle_check_shares_one_denominator_memo(monkeypatch):
 
 
 def test_oracle_check_expands_p_once_per_key():
-    # The hook-content route expands P from each instance's SLInstance.key,
-    # so SL-isomorphic instances share one expansion: 519 instances, 296 keys.
+    # The hook-content route expands P from each instance's key, so
+    # SL-isomorphic instances share one expansion: 519 instances, 296 keys.
     p_poly.cache_clear()
     result = run("oracle-check", "--max-weight", "9", "--max-d", "7")
     assert lines(result) == [{"agree": True, "instances": 519}]
     info = p_poly.cache_info()
     assert (info.misses, info.hits) == (296, 223)
+
+
+def test_oracle_check_expands_the_keys_the_parser_builds(monkeypatch):
+    # The hook-content route keys each (lambda, d) of the grid with no
+    # instance, so every key it expands must be SLInstance(lambda, d).key.
+    asked, expanded = [], []
+
+    def counting_sl_key(p, d):
+        asked.append((p, d))
+        return sl_key(p, d)
+
+    def recording_p_poly(key):
+        expanded.append(key)
+        return p_poly(key)
+
+    monkeypatch.setattr(cli, "sl_key", counting_sl_key)
+    monkeypatch.setattr(cli, "p_poly", recording_p_poly)
+    result = run("oracle-check", "--max-weight", "9", "--max-d", "7")
+    assert lines(result) == [{"agree": True, "instances": 519}]
+    grid = [(lam, d) for n in range(1, 10) for lam in partitions_of(n, n) for d in range(len(lam) - 1, 8)]
+    assert asked == grid
+    assert expanded == [SLInstance(lam, d).key for lam, d in grid]
 
 
 def _raise(exc):

@@ -13,7 +13,7 @@ from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
 from plethykit.twist import solve_twist
 
-from .reference import dual, normalize, p_of
+from .reference import check_as_parsed, dual, normalize, p_of
 from .test_cli import run
 
 
@@ -93,22 +93,52 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_instances_are_grouped_by_their_own_key(monkeypatch):
-    # One key path: each enumerated instance builds its key once, through
-    # SLInstance.key, the key sl_isomorphic compares, and each class's P
-    # is expanded from that key, so sl_key is called nowhere else.
+    # One key path: each enumerated instance builds its key once, the key
+    # sl_isomorphic compares as SLInstance.key, and each class's P is
+    # expanded from that key, so sl_key is called nowhere else.
     built = []
 
     def counting_sl_key(p, d):
         built.append((p, d))
         return sl_key(p, d)
 
-    # Both names of sl_key count into one list, so a key built anywhere
+    # Every name of sl_key counts into one list, so a key built anywhere
     # else adds to it.
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
     monkeypatch.setattr(hookcontent, "sl_key", counting_sl_key)
+    monkeypatch.setattr(search, "sl_key", counting_sl_key)
     enumerate_classes(6, 5)
     instances = [(lam, d) for d in range(1, 6) for n in range(1, 7) for lam in partitions_of(n, d)]
     assert sorted(built) == sorted(instances)
+
+
+def test_instances_are_built_for_reported_members_only(monkeypatch):
+    # 8,633 instances are grouped at 16/14, and the 2,425 members of the
+    # 1,056 reported classes are built, each once and none through the
+    # parser, since search made every (lambda, d) itself.
+    made = []
+    unchecked = SLInstance._of.__func__
+
+    def counting_of(cls, lam, d, key):
+        made.append((lam, d))
+        return unchecked(cls, lam, d, key)
+
+    def parse(inst):
+        raise AssertionError(f"search parsed {inst.lam, inst.d}, which it built itself")
+
+    monkeypatch.setattr(SLInstance, "_of", classmethod(counting_of))
+    monkeypatch.setattr(SLInstance, "__post_init__", parse)
+    classes = enumerate_classes(16, 14)
+    assert len(classes) == 1056
+    assert sorted(made) == sorted((i.lam, i.d) for c in classes for i in c.members)
+    assert len(made) == 2425
+
+
+def test_class_members_built_unchecked_are_what_the_parser_builds():
+    members = [inst for c in enumerate_classes(10, 8) for inst in c.members]
+    assert members
+    for inst in members:
+        check_as_parsed(inst)
 
 
 def test_each_partition_is_counted_once():

@@ -13,7 +13,6 @@ from plethykit.hookcontent import sl_key
 from plethykit.plethysm import SLInstance, gl_isomorphic, sl_isomorphic
 from plethykit.staircase import (
     FAMILIES,
-    _instance,
     _member,
     main_family,
     main_square,
@@ -22,7 +21,7 @@ from plethykit.staircase import (
     to_instance,
 )
 
-from .reference import dual, main_gl_condition, minimal_lift
+from .reference import check_as_parsed, dual, main_gl_condition, minimal_lift
 from .test_cli import run
 
 ENTRY = st.integers(0, 3)
@@ -71,7 +70,6 @@ COERCED = [
 )
 def test_bool_and_float_entries_are_rejected(coerced, equal_int, entry, cached):
     _member.cache_clear()
-    _instance.cache_clear()
     if cached:
         equal_int()
     with pytest.raises(ValueError, match=f"must be an integer, {entry}$"):
@@ -86,29 +84,12 @@ def test_member_memo_catches_repeated_descriptors():
     assert (info.misses, info.hits) == (2, 2)
 
 
-def test_instance_memo_builds_each_distinct_instance_once():
-    # Distinct descriptors of one instance: the member memo misses on
-    # each, so every repeat of a (lambda, d) is the instance memo's hit.
-    # The second pair differs only by a zero-length block, which the
-    # memo's key leaves out.
-    _member.cache_clear()
-    _instance.cache_clear()
-    asked = (((2, 0), (1, 2, 1)), ((2,), (3, 1)), ((0, 2), (1, 2, 1)), ((2,), (1, 3)))
-    instances = [to_instance(s) for s in asked]
-    distinct = {(inst.lam, inst.d) for inst in instances}
-    assert len(distinct) == 2
-    info = _instance.cache_info()
-    assert (info.misses, info.hits) == (len(distinct), len(instances) - len(distinct))
-
-
 def test_count_memo_counts_each_partition_once_across_squares():
-    # Every square with len(x) = len(y) <= 1 and entries <= 2: 244
-    # distinct instances reach sl_key, 238 of them nonempty, over 118
-    # partitions, so a partition that recurs squares apart under another
-    # d is served from the count memo.  A memo of one partition, which
-    # only serves a repeat in a row, reads 236 misses and 2 hits.
+    # Every square with len(x) = len(y) <= 1 and entries <= 2: 476
+    # distinct descriptors reach sl_key, 402 of them with a nonempty
+    # partition, over 118 partitions, so a partition that recurs under
+    # another d or another descriptor is served from the count memo.
     _member.cache_clear()
-    _instance.cache_clear()
     hookcontent._block_counts.cache_clear()
     squares = [
         (x, y, u, v, z)
@@ -120,16 +101,14 @@ def test_count_memo_counts_each_partition_once_across_squares():
     ]
     assert len(squares) == 260
     assert all(pairwise_sl_isomorphic(main_family(*params)) for params in squares)
-    assert _instance.cache_info().misses == 244
+    assert _member.cache_info().misses == 476
     info = hookcontent._block_counts.cache_info()
-    assert (info.misses, info.hits) == (118, 120)
+    assert (info.misses, info.hits) == (118, 284)
 
 
-def test_member_memo_eviction_keeps_instances_exact(monkeypatch):
-    # More distinct descriptors, and more distinct instances, than
-    # either memo holds.
+def test_member_memo_eviction_keeps_instances_exact():
+    # More distinct descriptors than the memo holds.
     _member.cache_clear()
-    _instance.cache_clear()
     asked = [
         ((w1, w2), (h1, h2, s))
         for w1, w2 in product(range(5), repeat=2)
@@ -140,12 +119,9 @@ def test_member_memo_eviction_keeps_instances_exact(monkeypatch):
     for s in asked:
         to_instance(s)
     assert _member.cache_info().currsize == _member.cache_info().maxsize
-    assert _instance.cache_info().currsize == _instance.cache_info().maxsize
     again = [to_instance(s) for s in asked]
-    assert len({(inst.lam, inst.d) for inst in again}) > _instance.cache_info().maxsize
     assert [inst.key for inst in again] == [sl_key(inst.lam, inst.d) for inst in again]
-    monkeypatch.setattr(staircase, "_instance", SLInstance)  # past both memos
-    fresh = [_member.__wrapped__(s) for s in asked]
+    fresh = [_member.__wrapped__(s) for s in asked]  # past the memo
     assert [(inst, inst.key) for inst in again] == [(inst, inst.key) for inst in fresh]
 
 
@@ -154,6 +130,12 @@ def test_member_memo_equals_its_unmemoized_body(s):
     assume(any(s[1]))  # else EmptyDiagram
     assert _member(s) == _member.__wrapped__(s)
     assert _member(s).key == _member.__wrapped__(s).key
+
+
+@given(descriptors())
+def test_members_built_unchecked_are_what_the_parser_builds(s):
+    assume(any(s[1]))  # else EmptyDiagram
+    check_as_parsed(to_instance(s))
 
 
 def test_to_instance_known_values():
@@ -450,9 +432,11 @@ def test_pairwise_sl_isomorphic_basics(monkeypatch):
         built.append((p, d))
         return sl_key(p, d)
 
+    # Both names of sl_key count into one list, so a key built anywhere
+    # else adds to it.
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
+    monkeypatch.setattr(staircase, "sl_key", counting_sl_key)
     _member.cache_clear()  # a remembered member would build no key
-    _instance.cache_clear()  # nor would a remembered instance
     family = main_family((), (), 2, 3, 1)
     assert pairwise_sl_isomorphic(family)
     assert len(built) == 4
