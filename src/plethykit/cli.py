@@ -42,11 +42,14 @@ def _nonnegative(text: str) -> int:
 
 def _unique_keys(pairs: list) -> dict:
     """The object_pairs_hook of json.loads: a repeated key is a
-    ValueError, never resolved to its last value."""
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"repeated key {max(keys, key=keys.count)!r}")
-    return dict(pairs)
+    ValueError, never resolved to its last value.  It names the first
+    key met a second time, found in one pass over the pairs."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()  # set.add returns None, so a key is kept only when met again
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
 
 
 def _parse_instance(text: str, mode: str):

@@ -197,7 +197,7 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     if d + p[0] < _SPAN:
         hooks, contents = _block_counts(p)
         return (contents << 64 * (d + 2 - len(p))) - hooks
-    parts, heights = zip(*sorted(Counter(p).items(), reverse=True))  # L_k and m_k
+    parts, heights = zip(*Counter(p).items())  # L_k and m_k, in p's decreasing order
     bottoms = list(accumulate(heights))  # R_k
     widths = list(map(sub, parts, parts[1:] + (0,)))  # w_l
     corners = Counter()

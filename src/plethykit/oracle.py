@@ -41,7 +41,7 @@ from itertools import product
 from math import prod
 
 from .errors import ConsistencyError, InexactDivision, LengthExceedsDimension
-from .partition import Partition, weight
+from .partition import Partition
 
 
 def _vandermonde(nodes: list[int]) -> int:
@@ -82,7 +82,7 @@ def specialize_bialternant(p: Partition, d: int, dens: dict | None = None) -> tu
     if len(p) > k:
         raise LengthExceedsDimension(f"{p} has more than {k} rows")
     lam = list(p) + [0] * (k - len(p))
-    step = -(-(k ** weight(p)).bit_length() // 8)
+    step = -(-(k ** sum(p)).bit_length() // 8)
     bits = 8 * step
     dens = {} if dens is None else dens
     if (k, bits) not in dens:

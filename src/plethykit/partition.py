@@ -24,25 +24,19 @@ def require_ints(name: str, values: Iterable) -> None:
 def canonical(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a part sequence (strip trailing zeros).
 
-    Raises ValueError if the parts are negative, non-integral, or not
-    weakly decreasing.
+    Raises ValueError if the parts are non-integral, not weakly
+    decreasing, or negative.  The order is checked first: then only the
+    last part, the least, can be negative, and the zeros are a suffix,
+    which one slice strips, so the cost is linear in the parts.
     """
     p = tuple(parts)
     require_ints("each partition part", p)
-    for part in p:
-        if part < 0:
-            raise ValueError(f"partition parts must be nonnegative, got {part}")
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def weight(p: Partition) -> int:
-    """|p|, the sum of all parts."""
-    return sum(p)
+    if p and p[-1] < 0:
+        raise ValueError(f"partition parts must be nonnegative, got {p[-1]}")
+    return p[: len(p) - p.count(0)]
 
 
 def add(p: Partition, r: Partition) -> Partition:

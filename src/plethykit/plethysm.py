@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .hookcontent import sl_key
-from .partition import Partition, canonical, require_ints, weight
+from .partition import Partition, canonical, require_ints
 
 
 def _require_keys(obj, keys: set[str]) -> None:
@@ -101,7 +101,7 @@ def sl_isomorphic(a: SLInstance, b: SLInstance) -> bool:
     """
     if a.key != b.key:
         return False
-    if (weight(a.lam) * a.d - weight(b.lam) * b.d) % 2:
+    if (sum(a.lam) * a.d - sum(b.lam) * b.d) % 2:
         raise ConsistencyError(
             f"equal P with odd weight-degree gap: {a} against {b}"
         )
@@ -110,6 +110,6 @@ def sl_isomorphic(a: SLInstance, b: SLInstance) -> bool:
 
 def gl_isomorphic(a: PlethysmInstance, b: PlethysmInstance) -> bool:
     """True iff SL-isomorphic and |delta_a|*|lam_a| = |delta_b|*|lam_b|."""
-    if sum(a.delta) * weight(a.lam) != sum(b.delta) * weight(b.lam):
+    if sum(a.delta) * sum(a.lam) != sum(b.delta) * sum(b.lam):
         return False
     return sl_isomorphic(a.sl, b.sl)

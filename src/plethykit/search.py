@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .errors import BudgetExceeded
 from .hookcontent import p_poly, sl_key
-from .partition import Partition, partitions_of, weight
-from .plethysm import SLInstance
+from .partition import Partition, partitions_of
+from .plethysm import SLInstance, sl_isomorphic
 from .twist import nu2_obstruction
 
 INSTANCE_CAP = 1_000_000
@@ -42,9 +42,13 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     and an ``SLInstance`` is built only for a member of a reported class,
     unchecked and with its group's key: ``partitions_of`` yields
     canonical partitions and d runs from len(lam), so every pair is
-    valid.  Only classes with two or more members are returned, each with
-    its P polynomial expanded once from that key, sorted by P's length
-    (its degree plus one) and then lexicographically by P's coefficients.
+    valid.  Each member is checked against the first with
+    ``sl_isomorphic``, so a reported class passes the parity check that
+    every other SL "yes" passes and ``twist``'s proof relies on; parity
+    is transitive, so every pair of the class passes it.  Only classes
+    with two or more members are returned, each with its P polynomial
+    expanded once from that key, sorted by P's length (its degree plus
+    one) and then lexicographically by P's coefficients.
 
     The partition is the outer loop and d the inner one, so the d-free
     half of ``sl_key`` counts each partition's hooks and contents once
@@ -53,7 +57,9 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     does not reach the output: members and classes are sorted after
     grouping.
 
-    Raises BudgetExceeded when there are more than INSTANCE_CAP instances.
+    Raises BudgetExceeded when there are more than INSTANCE_CAP
+    instances, and ConsistencyError when two members of a class have an
+    odd weight-degree gap, which equal keys rule out.
     """
     count = 0
     groups: dict[int | tuple[int, ...], list[tuple[int, Partition]]] = {}
@@ -69,6 +75,8 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
         if len(members) >= 2:
             members.sort()
             instances = tuple(SLInstance._of(lam, d, key) for d, lam in members)
+            for inst in instances[1:]:  # the parity check of every SL "yes"
+                sl_isomorphic(instances[0], inst)
             classes.append(EquivalenceClass(p_poly(key), instances))
     classes.sort(key=lambda c: (len(c.poly), c.poly))
     return classes
@@ -92,7 +100,7 @@ def classify_gl(c: EquivalenceClass) -> dict[str, list[tuple[int, int]]]:
     }
     for i, j in combinations(range(len(c.members)), 2):
         a, b = c.members[i], c.members[j]
-        if weight(a.lam) * a.d == weight(b.lam) * b.d:
+        if sum(a.lam) * a.d == sum(b.lam) * b.d:
             out["direct"].append((i, j))
         elif nu2_obstruction(a, b):
             out["obstructed"].append((i, j))

@@ -19,7 +19,7 @@ Proof that the predicate is exact.  Assume |lam|, |mu| >= 1, so A, B >= 1.
    it a solution and raises both coordinates.
 2. B*d - A*e is congruent to |lam|*d - |mu|*e mod 2, since l*(d+1)*d
    and m*(e+1)*e are even, and that is even for every SL-isomorphic
-   pair (``sl_isomorphic`` enforces it).
+   pair (``sl_isomorphic`` enforces it, on ``search``'s classes too).
 3. An odd prime power dividing A and B divides B*d - A*e, and then also
    (B*d - A*e)/2.  So only the prime 2 can obstruct: with a = nu2(A)
    and b = nu2(B), the condition is nu2(B*d - A*e) > min(a, b).
@@ -61,7 +61,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import NotSLIsomorphic, ZeroWeight
-from .partition import add, weight
+from .partition import add
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 
 
@@ -103,7 +103,7 @@ def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> Optional[Twist
     """
     if not sl_isomorphic(a, b):
         raise NotSLIsomorphic(f"{a} and {b} have different P polynomials")
-    wl, wm, d, e = weight(a.lam), weight(b.lam), a.d, b.d
+    wl, wm, d, e = sum(a.lam), sum(b.lam), a.d, b.d
     best = None  # the least (y, x, l, m) so far
     for l in range(bound + 1):
         big_b = wl + l * (d + 1)
@@ -151,7 +151,7 @@ def nu2_obstruction(a: SLInstance, b: SLInstance) -> bool:
 
     Raises ZeroWeight when either partition is empty.
     """
-    wl, wm = weight(a.lam), weight(b.lam)
+    wl, wm = sum(a.lam), sum(b.lam)
     if wl < 1 or wm < 1:
         raise ZeroWeight("both partitions must have positive weight")
     va, vb = nu2(wl), nu2(wm)

@@ -45,7 +45,7 @@ from itertools import accumulate
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _SPAN, p_poly
-from plethykit.partition import Partition, b_statistic, canonical, weight
+from plethykit.partition import Partition, b_statistic, canonical
 from plethykit.plethysm import PlethysmInstance, SLInstance
 
 Cell = tuple[int, int]
@@ -323,7 +323,7 @@ class CharacterData:
 
 
 def character_data(inst: PlethysmInstance) -> CharacterData:
-    w = weight(inst.lam)
+    w = sum(inst.lam)
     return CharacterData(
         weight_exponents=(w * inst.delta[0], w * inst.delta[1]),
         b_shift=b_statistic(inst.lam),

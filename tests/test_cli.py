@@ -138,6 +138,24 @@ def test_repeated_keys_are_invalid_input(argv, key):
     assert f"repeated key {key!r}" in result.stderr
 
 
+# 12,000 distinct keys and a repeat of the first, in about 109 KB: one
+# command-line argument holds at most 128 KiB.  Counting each key's
+# repeats, as a quadratic scan, takes seconds at this size.
+MANY_KEYS = '{"lambda":[1],"d":1,' + ",".join(f'"{i}":0' for i in range(11_998)) + ',"lambda":[1]}'
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"lambda": [1], "d": 1, "d": 1, "lambda": [1]}', "d"), (MANY_KEYS, "lambda")],
+    ids=["two-repeats", "12000-keys"],
+)
+def test_the_first_key_met_twice_is_named(text, key):
+    result = run("verify", text, SL_B)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"repeated key {key!r}" in result.stderr
+
+
 def test_verify_gl_mode_requires_delta():
     result = run("verify", SL_A, SL_B, "--mode", "gl")
     assert result.exit_code == 2

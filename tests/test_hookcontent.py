@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _SPAN, _block_counts, p_poly, sl_key
-from plethykit.partition import b_statistic, partitions_of, weight
+from plethykit.partition import b_statistic, partitions_of
 from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.search import enumerate_classes
 
@@ -523,7 +523,7 @@ def test_p_poly_shape_invariants(p, d):
     f = p_of(p, d)
     assert f[0] == 1
     assert f == f[::-1]
-    assert len(f) - 1 == weight(p) * d - 2 * b_statistic(p)
+    assert len(f) - 1 == sum(p) * d - 2 * b_statistic(p)
     assert all(c > 0 for c in f)
 
 
@@ -586,8 +586,8 @@ def test_hook_content_handles_large_staircase_shapes():
     f = p_of(p, 9)
     assert f[0] == 1
     assert f == f[::-1]
-    assert len(f) - 1 == weight(p) * 9 - 2 * b_statistic(p)
+    assert len(f) - 1 == sum(p) * 9 - 2 * b_statistic(p)
     # Three row blocks of 15 rows (lengths 70, 45, 20), 2,025 cells.
     big = (70,) * 15 + (45,) * 15 + (20,) * 15
-    assert weight(big) == 2025
+    assert sum(big) == 2025
     assert key_pairs(sl_key(big, 49)) == per_cell_key(big, 49)

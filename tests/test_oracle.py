@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from plethykit.errors import ConsistencyError, InexactDivision, LengthExceedsDimension
 from plethykit.oracle import _vandermonde, specialize_bialternant, specialize_ssyt
-from plethykit.partition import b_statistic, partitions_of, weight
+from plethykit.partition import b_statistic, partitions_of
 
 from .reference import ONE, canonical_poly, complement, p_of, q_analog, sequential_vandermonde, trim
 from .test_partition import partitions
@@ -105,7 +105,7 @@ def _fillings_reference(p, d):
     entries in {1..d+1}: rows weakly increase, columns strictly increase."""
     cells = [(i, j) for i, row_len in enumerate(p) for j in range(row_len)]
     rows = [[0] * row_len for row_len in p]
-    coeffs = [0] * (weight(p) * d + 1)
+    coeffs = [0] * (sum(p) * d + 1)
 
     def fill(t, exponent):
         if t == len(cells):
@@ -165,7 +165,7 @@ def test_shared_denominators_match_fresh_ones_for_every_d():
     # B is the least multiple of 8 with 2^B above the bound (d+1)^|p|,
     # and each entry is the Vandermonde determinant of its packed nodes.
     assert set(shared) == {
-        (d + 1, next(b for b in count(8, 8) if (d + 1) ** weight(p) < 1 << b))
+        (d + 1, next(b for b in count(8, 8) if (d + 1) ** sum(p) < 1 << b))
         for p in (lam, mu)
         for d in range(len(p) - 1, top + 1)
     }
@@ -209,7 +209,7 @@ def test_bialternant_at_the_byte_edges_of_its_packing(p, d, bound_bits):
     # The digits are B = 8 ceil(bits / 8) wide, bits the bit length of
     # the coefficient bound (d+1)^|p|: each case sits at a multiple of 8
     # or one past it, or at the one-bit bound of d = 0 or p = ().
-    assert ((d + 1) ** weight(p)).bit_length() == bound_bits
+    assert ((d + 1) ** sum(p)).bit_length() == bound_bits
     f = canonical_poly(specialize_bialternant(p, d))
     assert f == specialize_ssyt(p, d) == _fillings_reference(p, d)
 

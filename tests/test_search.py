@@ -4,17 +4,17 @@ import tracemalloc
 import pytest
 
 from plethykit import hookcontent, plethysm, search
-from plethykit.errors import BudgetExceeded
+from plethykit.errors import BudgetExceeded, ConsistencyError
 from plethykit.hookcontent import p_poly, sl_key
 from plethykit.oracle import specialize_ssyt
-from plethykit.partition import b_statistic, partitions_of, weight
+from plethykit.partition import b_statistic, partitions_of
 from plethykit.plethysm import SLInstance
 from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
 from plethykit.twist import solve_twist
 
 from .reference import check_as_parsed, dual, normalize, p_of
-from .test_cli import run
+from .test_cli import lines, run
 
 
 def test_enumerate_classes_small_frozen():
@@ -54,7 +54,7 @@ def test_class_invariants(bounds):
         assert c.poly[0] == 1
         assert c.poly == c.poly[::-1]
         for inst in c.members:
-            assert 1 <= weight(inst.lam) <= max_weight
+            assert 1 <= sum(inst.lam) <= max_weight
             assert 1 <= inst.d <= max_d
             assert len(inst.lam) <= inst.d  # members are normalized
             assert p_of(inst.lam, inst.d) == c.poly
@@ -72,7 +72,7 @@ def test_classes_are_closed_under_duality():
     }
     for inst, idx in class_of.items():
         mirrored = normalize(dual(inst))
-        if 1 <= weight(mirrored.lam) <= 6:
+        if 1 <= sum(mirrored.lam) <= 6:
             assert class_of[mirrored] == idx
 
 
@@ -132,6 +132,22 @@ def test_instances_are_built_for_reported_members_only(monkeypatch):
     assert len(classes) == 1056
     assert sorted(made) == sorted((i.lam, i.d) for c in classes for i in c.members)
     assert len(made) == 2425
+
+
+def test_a_class_with_an_odd_weight_degree_gap_is_an_internal_failure(monkeypatch):
+    # A forged key puts ((2,), 1) in the class of ((1,), 1): |lam|*d is 1
+    # against 2, so the class fails sl_isomorphic's parity check and is
+    # never reported, nor labelled twistable.
+    def forged_sl_key(p, d):
+        return sl_key((1,) if (p, d) == ((2,), 1) else p, d)
+
+    monkeypatch.setattr(search, "sl_key", forged_sl_key)
+    with pytest.raises(ConsistencyError, match="odd weight-degree gap"):
+        enumerate_classes(2, 1)
+    result = run("search", "--max-weight", "2", "--max-d", "1")
+    assert result.exit_code == 3
+    message = "equal P with odd weight-degree gap: SLInstance(lam=(1,), d=1) against SLInstance(lam=(2,), d=1)"
+    assert lines(result) == [{"error": "ConsistencyError", "message": message}]
 
 
 def test_class_members_built_unchecked_are_what_the_parser_builds():
@@ -225,7 +241,7 @@ def test_classify_gl_direct_means_equal_weight_times_d():
     for c in enumerate_classes(4, 4):
         for i, j in classify_gl(c)["direct"]:
             a, b = c.members[i], c.members[j]
-            assert weight(a.lam) * a.d == weight(b.lam) * b.d
+            assert sum(a.lam) * a.d == sum(b.lam) * b.d
 
 
 def test_classify_gl_labels_without_a_search_bound():
