@@ -11,13 +11,12 @@ Each command takes the parsed arguments and returns its exit code;
 """
 
 import argparse
-import inspect
 import json
 import sys
 
 from .errors import BudgetExceeded, ConsistencyError, EmptyDiagram, LengthExceedsDimension, NotSLIsomorphic
 from .hookcontent import p_poly, sl_key
-from .partition import b_statistic, partitions_of
+from .partition import b_statistic, excerpt, partitions_of
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 from .oracle import specialize_bialternant, specialize_ssyt
 from .search import classify_gl, enumerate_classes
@@ -48,7 +47,7 @@ def _unique_keys(pairs: list) -> dict:
     if len(obj) < len(pairs):
         seen = set()  # set.add returns None, so a key is kept only when met again
         repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ValueError(f"repeated key {repeated!r}")
+        raise ValueError(f"repeated key {excerpt(repr(repeated))}")
     return obj
 
 
@@ -57,7 +56,7 @@ def _parse_instance(text: str, mode: str):
     try:
         return kind.from_json(json.loads(text, object_pairs_hook=_unique_keys))
     except (LengthExceedsDimension, ValueError, TypeError, RecursionError) as exc:
-        raise UsageError(f"bad instance {text!r}: {exc}") from exc
+        raise UsageError(f"bad instance {excerpt(repr(text))}: {exc}") from exc
 
 
 def verify(args) -> int:
@@ -177,18 +176,21 @@ cmd.set_defaults(run=verify)
 
 cmd = commands.add_parser("family", help=family.__doc__, allow_abbrev=False)
 kinds = cmd.add_subparsers(dest="kind", required=True)
-# One parser per family kind, its options the builder's parameters, so
-# argparse rejects a stray or missing option.  A Sequence parameter is
-# a repeatable option, one entry per use; every other is a required int.
+# One parser per family kind, its options the builder's annotated
+# parameters in order (a corollary's partial binds the one parameter,
+# square, that has none), so argparse rejects a stray or missing option.
+# A Sequence parameter is a repeatable option, one entry per use; every
+# other is a required int.
 for kind, build in FAMILIES.items():
     sub = kinds.add_parser(kind, allow_abbrev=False)
-    params = inspect.signature(build).parameters
-    for name, param in params.items():
-        if param.annotation is Sequence:
+    annotations = getattr(build, "func", build).__annotations__
+    params = tuple(name for name in annotations if name != "return")
+    for name in params:
+        if annotations[name] is Sequence:
             sub.add_argument(f"--{name}", action="append", type=int, default=[])
         else:
             sub.add_argument(f"--{name}", required=True, type=int)
-    sub.set_defaults(run=family, params=tuple(params))
+    sub.set_defaults(run=family, params=params)
 
 cmd = commands.add_parser("twist", help=twist.__doc__, allow_abbrev=False)
 cmd.add_argument("instance_a")

@@ -9,6 +9,15 @@ from collections.abc import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
+def excerpt(text: str, limit: int = 200) -> str:
+    """The text of an error message that echoes an input: the whole of
+    it up to limit characters, past that its first limit characters and
+    its length, so a large input does not come back whole."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters in all)"
+
+
 def require_ints(name: str, values: Iterable) -> None:
     """Raise ValueError unless every value is an int and not a bool.
 
@@ -18,7 +27,7 @@ def require_ints(name: str, values: Iterable) -> None:
     for value in values:
         # type() costs one call for a plain int, the usual case
         if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {excerpt(repr(value))}")
 
 
 def canonical(parts: Iterable[int]) -> Partition:
@@ -33,7 +42,7 @@ def canonical(parts: Iterable[int]) -> Partition:
     require_ints("each partition part", p)
     for a, b in zip(p, p[1:]):
         if a < b:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
+            raise ValueError(f"parts must be weakly decreasing, got {excerpt(str(p))}")
     if p and p[-1] < 0:
         raise ValueError(f"partition parts must be nonnegative, got {p[-1]}")
     return p[: len(p) - p.count(0)]

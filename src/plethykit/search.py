@@ -8,31 +8,36 @@ the key's printed form and is expanded once per reported class from the
 key its members hold.
 Classes with at least two members are reported, and each member pair
 is labelled, in O(1) from its weights and degrees, by how (or whether)
-the SL-isomorphism upgrades to a GL one.
+the SL-isomorphism upgrades to a GL one.  A class is a frozen value
+like the instances of ``plethysm``.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
 from .hookcontent import p_poly, sl_key
 from .partition import Partition, partitions_of
-from .plethysm import SLInstance, sl_isomorphic
+from .plethysm import SLInstance, _Frozen, sl_isomorphic
 from .twist import nu2_obstruction
 
 INSTANCE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(_Frozen):
     """All enumerated instances grouped by one ``SLInstance.key``;
     ``poly`` is the P polynomial they share, the key's printed form.
 
-    Members are ordered by d, then lexicographically by partition.
+    Members are ordered by d, then lexicographically by partition.  A
+    frozen value, compared and hashed by (poly, members).
     """
 
+    __slots__ = __match_args__ = ("poly", "members")
     poly: tuple[int, ...]
     members: tuple[SLInstance, ...]
+
+    def __init__(self, poly: tuple[int, ...], members: tuple[SLInstance, ...]):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "members", members)
 
 
 def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:

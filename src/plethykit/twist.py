@@ -57,22 +57,19 @@ through every residue mod 2^(beta-t+1); if s <= alpha < t, take l = 0
 and m < 2^(alpha-s+1) <= |lam| likewise.
 """
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple, Optional
 
 from .errors import NotSLIsomorphic, ZeroWeight
 from .partition import add
 from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 
 
-class TwistSolution(NamedTuple):
-    l: int
-    m: int
-    x: int
-    y: int
+# l, m full columns added to lam and mu; deltas lifted to (d+x, x), (e+y, y)
+TwistSolution = namedtuple("TwistSolution", "l m x y")
 
 
-def _min_y_solution(a: int, b: int, c: int) -> Optional[tuple[int, int]]:
+def _min_y_solution(a: int, b: int, c: int) -> tuple[int, int] | None:
     """Minimal-y nonnegative (x, y) with a*y - b*x == c, or None.
 
     a and b must be nonnegative.
@@ -93,7 +90,7 @@ def _min_y_solution(a: int, b: int, c: int) -> Optional[tuple[int, int]]:
     return (a * y - c) // b, y
 
 
-def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> Optional[TwistSolution]:
+def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> TwistSolution | None:
     """The twist with the smallest (y, x, l, m), searching l, m <= bound.
 
     Returns None when no (l, m) pair in range admits a nonnegative

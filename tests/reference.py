@@ -40,7 +40,7 @@ plethykit against.  The package itself calls none of them.
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
@@ -374,7 +374,7 @@ def normalize(a: SLInstance) -> SLInstance:
     The P polynomial (hence the SL-isomorphism type) is unchanged.
     """
     reduced, _ = tilde_reduce(a.lam, a.d + 1)
-    return replace(a, lam=reduced)
+    return SLInstance(reduced, a.d)
 
 
 def dual(a: SLInstance) -> SLInstance:
@@ -382,7 +382,7 @@ def dual(a: SLInstance) -> SLInstance:
 
     Always SL-isomorphic to the input.
     """
-    return replace(a, lam=complement(a.lam, a.d + 1))
+    return SLInstance(complement(a.lam, a.d + 1), a.d)
 
 
 def check_as_parsed(inst: SLInstance) -> None:

@@ -154,6 +154,37 @@ def test_the_first_key_met_twice_is_named(text, key):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"repeated key {key!r}" in result.stderr
+    assert len(result.stderr) < 1024  # an excerpt of the 109 KB, not all of it
+
+
+# Instances of about 100 KB, each with the fault its message names:
+# each message echoes a bounded excerpt of the input, not all of it.
+LONG_FAULTS = {
+    "order": (json.dumps({"lambda": list(range(20_000)), "d": 1}), "sl", "parts must be weakly decreasing, got (0, 1, 2,"),
+    "part": (json.dumps({"lambda": ["x" * 100_000], "d": 1}), "sl", "each partition part must be an integer, got 'xxx"),
+    "keys": (json.dumps({str(i): 0 for i in range(15_000)}), "sl", "expected an object with the keys ['d', 'lambda'], got {'0': 0,"),
+    "delta": (json.dumps({"lambda": [1], "delta": [0] * 50_000}), "gl", "delta must have exactly two entries, got (0, 0,"),
+    "repeated": ('{"' + "k" * 100_000 + '": 0, "' + "k" * 100_000 + '": 1}', "sl", "repeated key 'kkk"),
+}
+
+
+@pytest.mark.parametrize("fault", LONG_FAULTS)
+def test_a_usage_error_echoes_a_bounded_excerpt(fault):
+    text, mode, message = LONG_FAULTS[fault]
+    good = SL_B if mode == "sl" else '{"lambda": [1], "delta": [3, 0]}'
+    result = run("verify", text, good, "--mode", mode)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    echo = f"error: bad instance {repr(text)[:200]}... ({len(text) + 2} characters in all): {message}"
+    assert echo in result.stderr and len(result.stderr) < 1024
+
+
+def test_a_short_bad_instance_is_echoed_whole():
+    result = run("verify", '{"lambda": [1, 2], "d": 3}', SL_B)
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        "error: bad instance '{\"lambda\": [1, 2], \"d\": 3}': parts must be weakly decreasing, got (1, 2)\n"
+    )
 
 
 def test_verify_gl_mode_requires_delta():

@@ -40,3 +40,12 @@ def test_the_cli_imports_only_the_standard_library():
     proc = _python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_cli_starts_without_inspect_dataclasses_or_typing():
+    # Every command pays for its imports: these three answer nothing, and
+    # they were about half of the time to import plethykit.cli.
+    code = "import sys, plethykit.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    proc = _python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

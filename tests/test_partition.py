@@ -12,6 +12,7 @@ from plethykit.partition import (
     add,
     b_statistic,
     canonical,
+    excerpt,
     partitions_of,
 )
 
@@ -57,6 +58,17 @@ def test_canonical_rejects_non_partitions(bad):
     fault = next(fault for p, fault in FAULTS if p is bad)
     with pytest.raises(ValueError, match=re.escape(fault) + "$"):
         canonical(bad)
+
+
+def test_an_order_error_echoes_a_bounded_excerpt():
+    # Up to 200 characters the input comes back whole, as FAULTS pins;
+    # past that, its first 200 and its length.
+    assert excerpt("x" * 200) == "x" * 200
+    assert excerpt("x" * 201) == "x" * 200 + "... (201 characters in all)"
+    text = str(tuple(range(10_000)))
+    with pytest.raises(ValueError) as raised:
+        canonical(range(10_000))
+    assert str(raised.value) == f"parts must be weakly decreasing, got {text[:200]}... ({len(text)} characters in all)"
 
 
 def test_canonical_is_linear_in_the_parts():

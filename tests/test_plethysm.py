@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +194,38 @@ def test_equal_keys_with_odd_weight_degree_gap_are_a_consistency_error():
     with pytest.raises(ConsistencyError) as raised:
         sl_isomorphic(a, b)
     assert str(a) in str(raised.value) and str(b) in str(raised.value)
+
+
+def test_instances_are_frozen_values():
+    # == and hash read (lam, d) and (lam, delta) only: the key and sl are
+    # derived, so an instance built unchecked, even with a forged key,
+    # equals the parse of its fields.
+    a = SLInstance([2, 1, 0], 3)
+    b = SLInstance._of((2, 1), 3, a.key)
+    assert repr(a) == repr(b) == "SLInstance(lam=(2, 1), d=3)"
+    assert a == b and hash(a) == hash(b) == hash(((2, 1), 3))
+    forged = SLInstance._of((2, 1), 3, 0)
+    assert forged == a and hash(forged) == hash(a)
+    assert a != SLInstance((2, 1), 4) and a != SLInstance((2,), 3)
+    assert a != ((2, 1), 3) and a.__eq__(((2, 1), 3)) is NotImplemented
+    p = PlethysmInstance([2, 1, 0], [4, 1])
+    assert repr(p) == "PlethysmInstance(lam=(2, 1), delta=(4, 1))"
+    assert p == PlethysmInstance((2, 1), (4, 1)) and hash(p) == hash(((2, 1), (4, 1)))
+    assert p.sl == a and p != a
+    assert p != PlethysmInstance((2, 1), (5, 2))  # the same sl, another delta
+    for inst, name in ((a, "lam"), (a, "d"), (a, "key"), (a, "other"), (p, "lam"), (p, "delta"), (p, "sl")):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, ())
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+    assert (a.lam, a.d, a.key, p.delta, p.sl) == ((2, 1), 3, b.key, (4, 1), a)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_instances_survive_pickle_and_copy(protocol):
+    # One key of each form: the int below hookcontent._SPAN, the tuple above.
+    for inst in (SLInstance((2, 1), 3), SLInstance((300,), 1), PlethysmInstance((2, 1), (4, 1))):
+        for twin in (pickle.loads(pickle.dumps(inst, protocol)), copy.deepcopy(inst), copy.copy(inst)):
+            assert type(twin) is type(inst) and twin == inst and repr(twin) == repr(inst)
+            sl, twin_sl = getattr(inst, "sl", inst), getattr(twin, "sl", twin)
+            assert twin_sl == sl and twin_sl.key == sl.key

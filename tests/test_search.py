@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import tracemalloc
 
 import pytest
@@ -123,11 +125,11 @@ def test_instances_are_built_for_reported_members_only(monkeypatch):
         made.append((lam, d))
         return unchecked(cls, lam, d, key)
 
-    def parse(inst):
-        raise AssertionError(f"search parsed {inst.lam, inst.d}, which it built itself")
+    def parse(inst, lam, d):
+        raise AssertionError(f"search parsed {lam, d}, which it built itself")
 
     monkeypatch.setattr(SLInstance, "_of", classmethod(counting_of))
-    monkeypatch.setattr(SLInstance, "__post_init__", parse)
+    monkeypatch.setattr(SLInstance, "__init__", parse)
     classes = enumerate_classes(16, 14)
     assert len(classes) == 1056
     assert sorted(made) == sorted((i.lam, i.d) for c in classes for i in c.members)
@@ -193,6 +195,24 @@ def test_enumeration_memory_stays_small():
 
 def test_enumeration_is_deterministic():
     assert enumerate_classes(4, 4) == enumerate_classes(4, 4)
+
+
+def test_a_class_is_a_frozen_value():
+    c = enumerate_classes(2, 2)[0]
+    members = "SLInstance(lam=(2,), d=1), SLInstance(lam=(1,), d=2), SLInstance(lam=(1, 1), d=2)"
+    assert repr(c) == f"EquivalenceClass(poly=(1, 1, 1), members=({members}))"
+    assert c == EquivalenceClass((1, 1, 1), c.members) and hash(c) == hash(((1, 1, 1), c.members))
+    assert c != EquivalenceClass((1, 1, 1), c.members[:2]) and c != EquivalenceClass((1, 2, 1), c.members)
+    assert c.__eq__(((1, 1, 1), c.members)) is NotImplemented
+    for name in ("poly", "members", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, ())
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for twin in (pickle.loads(pickle.dumps(c, protocol)), copy.deepcopy(c)):
+            assert type(twin) is EquivalenceClass and twin == c and repr(twin) == repr(c)
+            assert [m.key for m in twin.members] == [m.key for m in c.members]
 
 
 def test_search_stdout_is_pinned_at_16_14():

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -68,6 +70,14 @@ def test_twist_solution_fields():
     t = TwistSolution(1, 2, 3, 4)
     assert (t.l, t.m, t.x, t.y) == (1, 2, 3, 4)
     assert tuple(t) == (1, 2, 3, 4)
+    assert t._asdict() == {"l": 1, "m": 2, "x": 3, "y": 4}
+    assert repr(t) == "TwistSolution(l=1, m=2, x=3, y=4)"
+    assert t == (1, 2, 3, 4) and hash(t) == hash((1, 2, 3, 4))
+    with pytest.raises(AttributeError):
+        t.l = 0
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for twin in (pickle.loads(pickle.dumps(t, protocol)), copy.deepcopy(t)):
+            assert type(twin) is TwistSolution and twin == t
 
 
 def test_min_y_solution_known_values():
