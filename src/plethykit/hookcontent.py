@@ -7,15 +7,17 @@ and its value at q=1 is the dimension of the Schur module
 S_lambda(C^{d+1}).
 
 Equal P polynomials are the complete SL(2)-isomorphism invariant, and
-``sl_key`` decides it without expanding P: the key is the net exponent
-c_n of each q-integer [n] in C/H, written as one int whose balanced
-base-2^64 digits are the c_n while every nonzero c_n has n < _SPAN,
-and otherwise as one flat tuple of the nonzero second differences of
-the c_n.  The form is decided by the c_n alone, so equal P always give
-equal keys of one form.  It counts contents and hooks a rectangle at a
-time, one rectangle per block of equal rows for the contents and one
-per (row block, column block) pair for the hooks, so its cost grows
-with the number of distinct parts, not with the cell count, p[0] or d.
+``sl_key`` decides it without expanding P: the key is the second
+difference t_n of the net exponent c_n of each q-integer [n] in C/H,
+the signed corners of the rectangles that the contents and the hooks
+fill, written as one int whose balanced base-2^64 digits are the t_n
+while every nonzero c_n has n < _SPAN, and otherwise as one flat tuple
+of the nonzero t_n.  The encoding is decided by the c_n alone, so equal
+P always give equal keys of one encoding.  It counts contents and
+hooks a rectangle at a time, one rectangle per block of equal rows for
+the contents and one per (row block, column block) pair for the hooks,
+so its cost grows with the number of distinct parts, not with the cell
+count, p[0] or d.
 Instances are compared and grouped by their keys, read through
 ``SLInstance.key``; ``p_poly`` turns a key into its printed form, the
 polynomial, only where one is shown or compared as one.
@@ -23,7 +25,7 @@ polynomial, only where one is shown or compared as one.
 ``sl_key`` keeps no key: a caller whose traffic repeats an instance
 memoizes it, as ``staircase`` does.  While d + p[0] < _SPAN, where
 every key is the int, it splits into a d-free count of the partition's
-hooks and contents, two packed ints built from its rectangles' corners
+hooks and contents, two ints packing its rectangles' corners, built
 in O(r) big-int steps for r distinct parts and memoized for the last
 512 partitions, and one shift per d, so a partition asked for again
 under another d is counted once: ``search`` asks for every d of a
@@ -57,29 +59,28 @@ from .partition import Partition
 
 # A key is one int while every nonzero c_n has n below this; see sl_key.
 _SPAN = 256
-_SQUARE = ((1 << 64) - 1) ** 2  # (X - 1)^2, X = 2^64: see _block_counts
 
 
 @lru_cache(maxsize=512)
 def _block_counts(p: Partition) -> tuple[int, int]:
     """The d-free half of ``sl_key``'s int side: (hooks, contents) for a
     nonempty p with m = p[0] + len(p) <= _SPAN, which d + p[0] < _SPAN
-    and len(p) <= d + 1 ensure.  hooks packs the count of hook n as
-    base-2^64 digit n, for 0 <= n < m, and contents the count of cells
-    with content offset o = c(u) + len(p) - 1 as digit o, for 0 <= o <= m.
+    and len(p) <= d + 1 ensure.  Each packs signed rectangle corners as
+    balanced base-2^64 digits: hooks holds at digit n the second
+    difference of the number of hooks equal to n, and contents at digit
+    o that of the number of cells with content offset
+    o = c(u) + len(p) - 1.
 
-    The ints come straight from the rectangle corners.  With X = 2^64,
-    the rectangle {low + a + b : a < h, b < w} sums to
-    X^low (X^h - 1)(X^w - 1) / (X - 1)^2 as digits.  So
-    contents * (X - 1)^2 is the sum over row blocks k of
-    X^(len(p) - R_k) (X^(m_k) - 1)(X^(L_k) - 1), and hooks, from the
-    pairs (k, l >= k), is X^(-m) (X - 1)^(-2) times the sum over k of
+    With X = 2^64, the rectangle {low + a + b : a < h, b < w} has the
+    corners X^low (X^h - 1)(X^w - 1).  So contents is the sum over row
+    blocks k of X^(len(p) - R_k) (X^(m_k) - 1)(X^(L_k) - 1), and hooks,
+    from the pairs (k, l >= k), is X^(-m) times the sum over k of
     X^(L_k - R_k + 1 + len(p)) (X^(m_k) - 1) U_k, where
     U_k = sum_{l >= k} X^(R_l - L_l + L_1) (X^(w_l) - 1) grows by one
     term per block as the blocks are walked bottom up.  Every exponent
-    is nonnegative and both divisions and the shift are exact, so this
-    is O(r) big-int shifts and adds for r distinct parts, and each digit
-    is a count in [0, 2^63).  The runs of equal parts come from
+    is nonnegative and the shift is exact, so this is O(r) big-int
+    shifts and adds for r distinct parts, and every digit is below 2^63
+    in size (see ``sl_key``).  The runs of equal parts come from
     ``sorted(set(p))`` and ``p.count``, in C.
 
     The memo holds 512 partitions, as many as the staircase member memo
@@ -98,18 +99,19 @@ def _block_counts(p: Partition) -> tuple[int, int]:
         rows = ((1 << 64 * L) - 1) << 64 * (len(p) - R)
         contents += (rows << 64 * h) - rows
         R, below = R - h, L
-    return (hooks >> 64 * m) // _SQUARE, contents // _SQUARE
+    return hooks >> 64 * m, contents
 
 
 def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     """The SL invariant of (p, d), from the counts c_n, where c_n is the
     number of cells with d+1+c(u) = n minus the number with h(u) = n, so
-    that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).  The key is
-    the int sum c_n * 2^(64n) when every nonzero c_n has n < _SPAN (0
-    for no nonzero c_n), and otherwise the flat tuple
-    (n_1, t_1, n_2, t_2, ...) of the pairs (n, t_n) with t_n != 0, n
-    strictly increasing, where t_n = c_n - 2 c_(n-1) + c_(n-2) is the
-    second difference: sum t_n q^n = (1 - q)^2 sum c_n q^n.
+    that P^d_p = prod [n]^{c_n} (Stanley, EC2, Thm 7.21.2).  The key
+    holds the second difference t_n = c_n - 2 c_(n-1) + c_(n-2), so that
+    sum t_n q^n = (1 - q)^2 sum c_n q^n, in one of two encodings: the
+    int sum t_n * 2^(64n) when every nonzero c_n has n < _SPAN, that is
+    when the top n with t_n != 0 is below _SPAN + 2 (0 for no nonzero
+    t_n), and otherwise the flat tuple (n_1, t_1, n_2, t_2, ...) of the
+    pairs (n, t_n) with t_n != 0, n strictly increasing.
 
     Two instances have equal keys exactly when they have equal P.  Each
     [n] = prod_{k | n, k > 1} Phi_k, and cyclotomic polynomials are
@@ -121,20 +123,19 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     (1 - q^n) factors of the numerator and the denominator equal in
     number, so (1 - q)^|p| cancels without a correction.
 
-    Both forms are canonical.  The int's digits are unique: hook lengths
+    The key is canonical.  The t_n are the second difference of a
+    sequence with finite support, which the sequence fixes and which
+    fixes it back, c_n = sum_{j <= n} (n - j + 1) t_j.  Hook lengths
     strictly decrease along a row and down a column, so at most
     min(p[0], len(p)) hooks equal n; the cells of one content lie on one
     diagonal, so at most as many have d+1+c(u) = n.  So
-    |c_n| <= min(p[0], len(p)) < 2^63, for p is a tuple held in memory,
-    and an int has one expansion in digits -2^63 < c_n < 2^63 to base
-    2^64: equal ints give equal c_n.  The tuple is the second difference
-    of a sequence with finite support, which the sequence fixes and
-    which fixes it back, c_n = sum_{j <= n} (n - j + 1) t_j, so equal
-    c_n give equal t_n, each nonzero one listed once in increasing n:
-    equal tuples.  Its top n is the top nonzero c_n's plus 2, so which
-    form a key takes depends on the c_n alone, however they were
-    reached: a Hermite pair ((a), b) and ((b), a) cancels different
-    corners to reach one key.
+    |t_n| <= 4 min(p[0], len(p)) < 2^63, for p is a tuple held in
+    memory, and an int has one expansion in digits -2^63 < t_n < 2^63 to
+    base 2^64.  So equal c_n give equal keys: equal ints, or equal
+    tuples, each nonzero t_n listed once in increasing n.  The top n is
+    the top nonzero c_n's plus 2, so which encoding a key takes depends
+    on the c_n alone, however they were reached: a Hermite pair ((a), b)
+    and ((b), a) cancels different corners to reach one key.
 
     Both multisets are counted by blocks, not by cells.  The runs of
     equal parts L_1 > ... > L_r cut the rows into r blocks: row block k
@@ -156,16 +157,17 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     4(r + r(r+1)/2) of them, in O(r^2) steps whatever p[0] and d are.
     Every hook and content is at most d + p[0], so when d + p[0] < _SPAN
     the key is the int, built by ``_block_counts``, which packs the
-    hooks and the contents apart once per partition (the identity is in
-    its docstring): with first = d+2-len(p), the least content, the key
-    is (contents << 64 * first) - hooks, exact because every digit stays
-    in range.  Otherwise the corners are summed in a dict, the zeros
-    dropped and the rest sorted; if the top n is still below _SPAN + 2
-    the key is sum t_n 2^(64n) // (2^64 - 1)^2, the very int the fast
+    hooks' and the contents' corners apart once per partition (the
+    identity is in its docstring): with first = d+2-len(p), the least
+    content, the key is (contents << 64 * first) - hooks, exact because
+    every digit stays in range.  Otherwise the corners are summed in a
+    dict, the zeros dropped and the rest sorted; if the top n is still
+    below _SPAN + 2 the key is sum t_n 2^(64n), the very int the fast
     side builds, and otherwise the tuple.  The int happens there only at
     d = len(p) - 1, where the top content d + p[0] cancels the hook of
     cell (1, 1), and n counts down from there.  So an int key stays
-    below 64 * _SPAN bits, and no key's length grows with d or p[0].
+    below 64 * (_SPAN + 2) bits, and no key's length grows with d or
+    p[0].
 
     _SPAN is sized by measurement (Python 3.11, 2 CPUs, in process, the
     packed halves already memoized; per key over every 7th nonempty
@@ -211,26 +213,27 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
             corners[low + h + w] += sign
     key = sorted((n, t) for n, t in corners.items() if t)
     if not key or key[-1][0] - 2 < _SPAN:
-        return sum(t << 64 * n for n, t in key) // _SQUARE
+        return sum(t << 64 * n for n, t in key)
     return tuple(chain.from_iterable(key))
 
 
 @lru_cache(maxsize=8192)
 def p_poly(key: int | tuple[int, ...]) -> tuple[int, ...]:
     """P = prod [n]^{c_n} as an exact integer polynomial, from its key as
-    ``SLInstance.key`` holds it, in either of ``sl_key``'s forms: its
+    ``SLInstance.key`` holds it, in either of ``sl_key``'s encodings: its
     coefficient tuple, indexed by exponent, ending in the leading
     coefficient.  Memoized by key, so SL-isomorphic instances share one
     expansion.
 
-    An int key with top digit n = t lies within 2^(64t - 1) and
-    2^(64t + 63) of 0 (its digits are below 2^63 in size), so it has
+    An int key whose top nonzero digit is digit j lies within 2^(64j - 1)
+    and 2^(64j + 63) of 0 (its digits are below 2^63 in size), so it has
     k = bit_length // 64 + 1 digits.  Adding 2^63 to every digit makes
-    them all 0 <= c_n + 2^63 < 2^64, read as one k-digit unsigned word
-    array, and the pairs (n, c_n) are the digits that are not 2^63.  A
-    tuple key holds the second differences t_n, so two prefix sums over
-    every n below its top corner give the c_n (the top nonzero one is at
-    that corner minus 2), and the pairs are the nonzero ones.
+    them all 0 <= t_n + 2^63 < 2^64, read as one k-digit unsigned word
+    array, and taking 2^63 off each word again gives the t_n.  A tuple
+    key lists the nonzero t_n, read densely for every n below its top
+    corner (the top nonzero c_n is at that corner minus 2).  Either way
+    two prefix sums give the c_n, and the pairs (n, c_n) are the nonzero
+    ones.
 
     P is palindromic of degree D = sum c_n (n - 1), so its coefficients
     below h = D//2 + 1 fix it.  The factors (1 - q^n)^{c_n} are applied
@@ -248,11 +251,10 @@ def p_poly(key: int | tuple[int, ...]) -> tuple[int, ...]:
         k = abs(key).bit_length() // 64 + 1
         bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * k, "little")  # 2^63 in every digit
         digits = unpack(f"<{k}Q", (key + bias).to_bytes(8 * k, "little"))
-        pairs = [(n, c - (1 << 63)) for n, c in enumerate(digits) if c != 1 << 63]
+        corners = map(sub, digits, repeat(1 << 63))
     else:
-        corners = dict(zip(key[::2], key[1::2]))
-        counts = accumulate(accumulate(map(corners.get, range(key[-2]), repeat(0))))
-        pairs = [(n, c) for n, c in enumerate(counts) if c]
+        corners = map(dict(zip(key[::2], key[1::2])).get, range(key[-2]), repeat(0))
+    pairs = [(n, c) for n, c in enumerate(accumulate(accumulate(corners))) if c]
     degree = sum(c * (n - 1) for n, c in pairs)
     h = degree // 2 + 1
     f = [1] + [0] * (h - 1)

@@ -21,9 +21,9 @@ plethykit against.  The package itself calls none of them.
 * ``cells``, ``hook_length`` and ``content``: cell-by-cell statistics,
   and ``per_cell_key``, the net q-integer exponents they give, the
   reference for the block-wise ``sl_key``; ``key_pairs`` checks that a
-  key is in ``sl_key``'s canonical form (an int below ``_SPAN``, a flat
-  tuple of second-difference corners from there on) and reads its pairs
-  back, and ``pack`` writes pairs in that form.
+  key is in ``sl_key``'s canonical form (second-difference corners,
+  packed in an int below ``_SPAN`` and a flat tuple from there on) and
+  reads its pairs back, and ``pack`` writes pairs in that form.
 * ``CharacterData`` and ``character_data``: the full GL(2) character,
   the slow path for ``gl_isomorphic``.
 * ``main_gl_condition`` and ``minimal_lift``: the z(z-1) balance
@@ -251,30 +251,31 @@ def per_cell_key(p: Partition, d: int) -> frozenset[tuple[int, int]]:
 
 def key_pairs(key) -> frozenset[tuple[int, int]]:
     """The pairs (n, c_n) of an ``sl_key``, after checking its canonical
-    form, which the pairs decide: one int, whose balanced base-2^64
-    digits are the c_n, when every n is below ``_SPAN`` (0 for no pair),
-    and otherwise the corners (n_1, t_1, n_2, t_2, ...) of the second
+    form, which the pairs decide: the corners (n, t_n) of the second
     difference t_n = c_n - 2 c_(n-1) + c_(n-2), with n strictly
-    increasing, no zero t_n, and top n - 2, the top nonzero c_n, at
-    ``_SPAN`` or above.  An int is read one digit at a time by
-    ``divmod``, apart from ``p_poly``'s reading; a tuple by a walk over
-    its corners, between which c_n is linear, apart from ``p_poly``'s
-    dense prefix sums."""
+    increasing and no zero t_n, encoded as one int whose balanced
+    base-2^64 digits are the t_n when the top n - 2, the top nonzero
+    c_n, is below ``_SPAN`` (0 for no corner), and otherwise as the flat
+    tuple (n_1, t_1, n_2, t_2, ...).  An int's corners are read one
+    digit at a time by ``divmod``, apart from ``p_poly``'s word array;
+    either encoding's corners by a walk over them, between which c_n is
+    linear, apart from ``p_poly``'s dense prefix sums."""
     if type(key) is int:
-        pairs, n = [], 0
+        corners, n = [], 0
         while key:
-            key, c = divmod(key, 1 << 64)
-            if c >= 1 << 63:  # a negative digit borrows from the next
-                c -= 1 << 64
+            key, t = divmod(key, 1 << 64)
+            if t >= 1 << 63:  # a negative digit borrows from the next
+                t -= 1 << 64
                 key += 1
-            if c:
-                pairs.append((n, c))
+            if t:
+                corners += [n, t]
             n += 1
-        assert not pairs or pairs[-1][0] < _SPAN, pairs
-        return frozenset(pairs)
-    assert isinstance(key, tuple) and len(key) % 2 == 0, key
-    ns, ts = key[::2], key[1::2]
-    assert ns and ns[-1] - 2 >= _SPAN, key
+        assert not corners or corners[-2] - 2 < _SPAN, corners
+    else:
+        assert isinstance(key, tuple) and len(key) % 2 == 0, key
+        assert key and key[-2] - 2 >= _SPAN, key
+        corners = key
+    ns, ts = corners[::2], corners[1::2]
     assert all(a < b for a, b in zip(ns, ns[1:])), key
     assert all(ts), key
     # (1 - q)^2 divides sum t_n q^n, so the c_n have finite support.
@@ -292,16 +293,17 @@ def key_pairs(key) -> frozenset[tuple[int, int]]:
 
 def pack(pairs) -> int | tuple[int, ...]:
     """The key in ``sl_key``'s form for the pairs (n, c_n), c_n != 0: the
-    int sum of c_n * 2^(64n) when every n is below ``_SPAN``, otherwise
-    the flat tuple of the nonzero second differences in increasing n."""
-    pairs = sorted(pairs)
-    if not pairs or pairs[-1][0] < _SPAN:
-        return sum(c << 64 * n for n, c in pairs)
+    nonzero second differences t_n in increasing n, encoded as the int
+    sum of t_n * 2^(64n) when every n is below ``_SPAN``, otherwise as
+    the flat tuple (n_1, t_1, n_2, t_2, ...)."""
     corners = Counter()
     for n, c in pairs:
         corners.update({n: c, n + 2: c})
         corners[n + 1] -= 2 * c
-    return tuple(x for corner in sorted(corners.items()) if corner[1] for x in corner)
+    corners = sorted((n, t) for n, t in corners.items() if t)
+    if not corners or corners[-1][0] - 2 < _SPAN:
+        return sum(t << 64 * n for n, t in corners)
+    return tuple(x for corner in corners for x in corner)
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,9 @@ def test_sl_key_known_values():
     assert key_pairs(sl_key((), 3)) == frozenset()
     # contents of (2,) at d = 3 are {4, 5}, hooks {2, 1}
     assert key_pairs(sl_key((2,), 3)) == {(4, 1), (5, 1), (2, -1), (1, -1)}
+    # and their second differences, the rectangle corners, are the digits
+    corners = {1: -1, 2: 1, 3: 1, 5: -1, 6: -1, 7: 1}
+    assert sl_key((2,), 3) == sum(t << 64 * n for n, t in corners.items())
     # (1, 1) at d = 1 is the trivial module: contents {2, 1}, hooks {2, 1}
     assert key_pairs(sl_key((1, 1), 1)) == frozenset()
     with pytest.raises(LengthExceedsDimension):
@@ -360,11 +363,13 @@ def test_cancelled_top_content_gives_the_int_key():
 def _packed_halves(p):
     """p's hooks and contents counted cell by cell, each half packed as
     base-2^64 digits by plain shifts, hook n at digit n and content c at
-    digit c + len(p) - 1: the ints _block_counts builds from the corners,
+    digit c + len(p) - 1, then times (2^64 - 1)^2, which turns the counts
+    into their second differences: the corner ints _block_counts builds,
     by another route."""
+    square = ((1 << 64) - 1) ** 2
     hooks = sum(1 << 64 * hook_length(p, u) for u in cells(p))
     contents = sum(1 << 64 * (content(p, u) + len(p) - 1) for u in cells(p))
-    return hooks, contents
+    return hooks * square, contents * square
 
 
 def test_corner_ints_equal_the_packed_cells_exhaustively():
