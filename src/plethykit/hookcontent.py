@@ -55,7 +55,7 @@ from operator import sub
 from struct import unpack
 
 from .errors import InexactDivision, LengthExceedsDimension
-from .partition import Partition
+from .partition import Partition, excerpt
 
 # A key is one int while every nonzero c_n has n below this; see sl_key.
 _SPAN = 256
@@ -193,7 +193,7 @@ def sl_key(p: Partition, d: int) -> int | tuple[int, ...]:
     length(p) <= d+1.
     """
     if len(p) > d + 1:
-        raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
+        raise LengthExceedsDimension(f"{excerpt(str(p))} has more than {d + 1} rows")
     if not p:
         return 0
     if d + p[0] < _SPAN:

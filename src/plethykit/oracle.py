@@ -41,7 +41,7 @@ from itertools import product
 from math import prod
 
 from .errors import ConsistencyError, InexactDivision, LengthExceedsDimension
-from .partition import Partition
+from .partition import Partition, excerpt
 
 
 def _vandermonde(nodes: list[int]) -> int:
@@ -80,7 +80,7 @@ def specialize_bialternant(p: Partition, d: int, dens: dict | None = None) -> tu
     """
     k = d + 1
     if len(p) > k:
-        raise LengthExceedsDimension(f"{p} has more than {k} rows")
+        raise LengthExceedsDimension(f"{excerpt(str(p))} has more than {k} rows")
     lam = list(p) + [0] * (k - len(p))
     step = -(-(k ** sum(p)).bit_length() // 8)
     bits = 8 * step
@@ -128,6 +128,6 @@ def specialize_ssyt(p: Partition, d: int, memo: dict | None = None) -> tuple[int
     Raises LengthExceedsDimension unless length(p) <= d+1.
     """
     if len(p) > d + 1:
-        raise LengthExceedsDimension(f"{p} has more than {d + 1} rows")
+        raise LengthExceedsDimension(f"{excerpt(str(p))} has more than {d + 1} rows")
     padded = tuple(p) + (0,) * (d + 1 - len(p))
     return tuple(_schur(padded, {} if memo is None else memo))

@@ -12,19 +12,20 @@ witness; ``nu2_obstruction`` decides in O(1) whether one exists.
 
 Proof that the predicate is exact.  Assume |lam|, |mu| >= 1, so A, B >= 1.
 
-1. For fixed (l, m) the equation reads 2(A*y - B*x) = B*d - A*e;
-   ``solve_twist`` computes this right-hand side, halved.  With
-   g = gcd(A, B) it has an integer solution iff 2g | B*d - A*e, and
-   then a solution with x, y >= 0: adding (A/g, B/g) to (x, y) keeps
-   it a solution and raises both coordinates.
-2. B*d - A*e is congruent to |lam|*d - |mu|*e mod 2, since l*(d+1)*d
-   and m*(e+1)*e are even, and that is even for every SL-isomorphic
-   pair (``sl_isomorphic`` enforces it, on ``search``'s classes too).
-3. An odd prime power dividing A and B divides B*d - A*e, and then also
-   (B*d - A*e)/2.  So only the prime 2 can obstruct: with a = nu2(A)
-   and b = nu2(B), the condition is nu2(B*d - A*e) > min(a, b).
-   Comparing nu2(B*d) = b + nu2(d) with nu2(A*e) = a + nu2(e), it
-   holds iff
+1. For fixed (l, m) put g = gcd(A, B), p = A/g and q = B/g.  The
+   equation reads q*(d + 2x) = p*(e + 2y), and p, q are coprime, so it
+   holds iff d + 2x = k*p and e + 2y = k*q for one integer k.  That
+   (x, y) is nonnegative iff k*p >= d and k*q >= e, and integral iff
+   k*p = d and k*q = e mod 2.  x and y both grow with k, so the least
+   such k gives the least y and the least x at once: ``_least_lift``
+   takes the least k >= max(ceil(d/p), ceil(e/q)) of the right parity.
+2. |lam|*d - |mu|*e is even for every SL-isomorphic pair
+   (``sl_isomorphic`` enforces it, on ``search``'s classes too).
+3. At most one of the coprime p, q is even.  A k of the right parity
+   exists iff q*d = p*e mod 2, that is: p is even and d even (then
+   k = e mod 2), or q is even and e even (k = d mod 2), or both are odd
+   and d = e mod 2 (k = d mod 2).  With a = nu2(A) and b = nu2(B), p is
+   even iff b < a and q iff a < b, so a twist exists at (l, m) iff
      b < a and d is even, or
      a < b and e is even, or
      a = b and d = e mod 2.
@@ -69,25 +70,23 @@ from .plethysm import PlethysmInstance, SLInstance, gl_isomorphic, sl_isomorphic
 TwistSolution = namedtuple("TwistSolution", "l m x y")
 
 
-def _min_y_solution(a: int, b: int, c: int) -> tuple[int, int] | None:
-    """Minimal-y nonnegative (x, y) with a*y - b*x == c, or None.
-
-    a and b must be nonnegative.
+def _least_lift(big_a: int, big_b: int, d: int, e: int) -> tuple[int, int] | None:
+    """The least nonnegative (x, y) with B*(d + 2x) == A*(e + 2y), where
+    A = big_a and B = big_b, or None.  By step 1 of the module proof,
+    d + 2x = k*A/g and e + 2y = k*B/g for one k, with g = gcd(A, B).
+    When A or B is zero (an empty partition at l = 0 or m = 0) the least
+    solution, if any, is (0, 0), and there is one iff B*d == A*e.
     """
-    if b == 0:
-        if a == 0:
-            return (0, 0) if c == 0 else None
-        return (0, c // a) if c >= 0 and c % a == 0 else None
-    g = gcd(a, b)
-    if c % g:
+    if not big_a or not big_b:
+        return (0, 0) if big_b * d == big_a * e else None
+    g = gcd(big_a, big_b)
+    p, q = big_a // g, big_b // g
+    if q * d % 2 != p * e % 2:
         return None
-    b2 = b // g
-    y = (c // g) * pow(a // g, -1, b2) % b2 if b2 > 1 else 0
-    if a * y < c:  # x would be negative: step y up by b2 until a*y >= c
-        if a == 0:
-            return None
-        y += (c - a * y + a * b2 - 1) // (a * b2) * b2
-    return (a * y - c) // b, y
+    k = max(-(-d // p), -(-e // q))
+    if k % 2 != (d if p % 2 else e) % 2:  # k's parity, by step 3
+        k += 1
+    return (k * p - d) // 2, (k * q - e) // 2
 
 
 def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> TwistSolution | None:
@@ -95,8 +94,7 @@ def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> TwistSolution 
 
     Returns None when no (l, m) pair in range admits a nonnegative
     (x, y); raises NotSLIsomorphic when the inputs are not even
-    SL-isomorphic (the equation's right-hand side would not be an
-    integer).
+    SL-isomorphic (twisting leaves P unchanged, so no twist helps).
     """
     if not sl_isomorphic(a, b):
         raise NotSLIsomorphic(f"{a} and {b} have different P polynomials")
@@ -106,7 +104,7 @@ def solve_twist(a: SLInstance, b: SLInstance, bound: int = 50) -> TwistSolution 
         big_b = wl + l * (d + 1)
         for m in range(bound + 1):
             big_a = wm + m * (e + 1)
-            sol = _min_y_solution(big_a, big_b, (big_b * d - big_a * e) // 2)
+            sol = _least_lift(big_a, big_b, d, e)
             # sol is (x, y), so sol[::-1] + (l, m) is the key (y, x, l, m)
             if sol is not None and (best is None or sol[::-1] + (l, m) < best):
                 best = sol[::-1] + (l, m)

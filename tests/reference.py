@@ -36,12 +36,18 @@ plethykit against.  The package itself calls none of them.
 * ``check_as_parsed``: an instance the package built without checks,
   through ``SLInstance._of``, against the checked parse of its own
   fields, the reference for every producer inside the package.
+* ``_min_y_solution``: the least-y nonnegative solution of the linear
+  Diophantine equation a*y - b*x = c, through a modular inverse, the
+  reference for ``twist._least_lift``, which solves the twist equation
+  B*(d + 2x) = A*(e + 2y) as a proportion: with c = (B*d - A*e)/2 the
+  two are one equation.
 """
 
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
+from math import gcd
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
 from plethykit.hookcontent import _SPAN, p_poly
@@ -395,3 +401,24 @@ def check_as_parsed(inst: SLInstance) -> None:
     parsed = SLInstance(inst.lam, inst.d)
     assert (inst, inst.key) == (parsed, parsed.key), inst
     assert type(inst.d) is int and all(type(part) is int for part in inst.lam), inst
+
+
+def _min_y_solution(a: int, b: int, c: int) -> tuple[int, int] | None:
+    """Minimal-y nonnegative (x, y) with a*y - b*x == c, or None.
+
+    a and b must be nonnegative.
+    """
+    if b == 0:
+        if a == 0:
+            return (0, 0) if c == 0 else None
+        return (0, c // a) if c >= 0 and c % a == 0 else None
+    g = gcd(a, b)
+    if c % g:
+        return None
+    b2 = b // g
+    y = (c // g) * pow(a // g, -1, b2) % b2 if b2 > 1 else 0
+    if a * y < c:  # x would be negative: step y up by b2 until a*y >= c
+        if a == 0:
+            return None
+        y += (c - a * y + a * b2 - 1) // (a * b2) * b2
+    return (a * y - c) // b, y

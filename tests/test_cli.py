@@ -187,6 +187,35 @@ def test_a_short_bad_instance_is_echoed_whole():
     )
 
 
+# A valid partition of 60,000 ones, about 120 KB of compact JSON, with
+# more rows than d = 1 allows: the fault's message names the partition,
+# so it must echo an excerpt of it too.
+MANY_ROWS = {"lambda": [1] * 60_000, "d": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", json.dumps(MANY_ROWS, separators=(",", ":")), '{"lambda":[1],"d":1}'),
+        ("twist", json.dumps(MANY_ROWS, separators=(",", ":")), '{"lambda":[1],"d":1}'),
+        (
+            "verify",
+            json.dumps({"lambda": MANY_ROWS["lambda"], "delta": [1, 0]}, separators=(",", ":")),
+            '{"lambda":[1],"delta":[1,0]}',
+            "--mode",
+            "gl",
+        ),
+    ],
+    ids=["verify", "twist", "verify-gl"],
+)
+def test_too_many_rows_echoes_a_bounded_excerpt(argv):
+    result = run(*argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "(180000 characters in all) has more than 2 rows" in result.stderr
+    assert len(result.stderr) < 1024
+
+
 def test_verify_gl_mode_requires_delta():
     result = run("verify", SL_A, SL_B, "--mode", "gl")
     assert result.exit_code == 2

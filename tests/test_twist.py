@@ -2,7 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,14 +15,14 @@ from plethykit.plethysm import SLInstance, sl_isomorphic
 from plethykit.search import enumerate_classes
 from plethykit.twist import (
     TwistSolution,
-    _min_y_solution,
+    _least_lift,
     nu2,
     nu2_obstruction,
     solve_twist,
     verify_twist,
 )
 
-from .reference import dual, normalize
+from .reference import _min_y_solution, dual, normalize
 from .test_plethysm import sl_examples
 
 
@@ -117,6 +117,24 @@ def test_min_y_solution_matches_brute_force(a, b, c):
         assert a * y - b * x == c
 
 
+def test_least_lift_matches_the_reference_step():
+    """The proportion step against the linear-Diophantine reference on
+    every (A, B, d, e) up to 12, zero sides included: with
+    c = (B*d - A*e)/2 both solve B*(d + 2x) = A*(e + 2y) for the least
+    y.  A tuple whose B*d - A*e is odd has no solution at all."""
+    checked = solved = 0
+    for big_a, big_b, d, e in product(range(13), repeat=4):
+        got = _least_lift(big_a, big_b, d, e)
+        if (big_b * d - big_a * e) % 2:
+            assert got is None, (big_a, big_b, d, e)
+            continue
+        assert got == _min_y_solution(big_a, big_b, (big_b * d - big_a * e) // 2), (big_a, big_b, d, e)
+        checked += 1
+        solved += got is not None
+    assert checked == 36 * 36 + 133 * 133  # B*d, A*e both odd (6 of 13 values each) or both even
+    assert 0 < solved < checked
+
+
 def test_solve_twist_witness_pair():
     a = SLInstance((2,), 2)
     b = SLInstance((1, 1), 3)
@@ -201,6 +219,29 @@ def test_solve_twist_answers_are_pinned_on_a_grid():
     )
 
 
+def test_solve_twist_on_empty_and_full_rectangles():
+    """Every ordered pair of key-0 instances, whose weights can be 0:
+    the empty partition for d <= 3, one row for d = 0 and the rectangles
+    (k^(d+1), d), at four bounds, against the brute-force search."""
+    insts = {SLInstance((k,) * (d + 1) if k else (), d) for k in range(4) for d in range(4)}
+    insts |= {SLInstance((k,), 0) for k in range(5)}
+    assert len(insts) == 17 and {i.key for i in insts} == {0}
+    missing = {}  # bound: the pairs with no twist in range
+    for a, b in product(sorted(insts, key=repr), repeat=2):
+        for bound in (0, 1, 3, 50):
+            sol = solve_twist(a, b, bound)
+            if sol is None:
+                assert _brute_min_key(a, b, bound, y_cap=20) is None, (a, b, bound)
+                missing[bound] = missing.get(bound, 0) + 1
+            else:
+                assert _brute_min_key(a, b, bound, y_cap=sol.y) == (sol.y, sol.x, sol.l, sol.m)
+                assert verify_twist(a, b, sol)
+    assert missing == {0: 112, 1: 10}
+    empty, square = SLInstance((), 1), SLInstance((2, 2), 1)
+    assert solve_twist(empty, square, 0) is None
+    assert solve_twist(empty, square, 50) == TwistSolution(l=2, m=0, x=0, y=0)
+
+
 def test_nu2_known_values():
     assert nu2(1) == 0
     assert nu2(2) == 1
@@ -241,9 +282,10 @@ def test_stronger_invariants_fail_on_unobstructed_pairs():
 
 
 def _twist_exists(wl, d, wm, e, bound):
-    """Whether some l, m <= bound lets the solver's own equation step,
-    ``_min_y_solution``, find a nonnegative (x, y): the scan of
-    ``solve_twist`` without its SL check, for bare weights and degrees."""
+    """Whether some l, m <= bound lets the reference equation step,
+    ``reference._min_y_solution``, find a nonnegative (x, y): the scan
+    of ``solve_twist`` without its SL check and with the independent
+    step in place of ``_least_lift``, for bare weights and degrees."""
     half_gap = (wl * d - wm * e) // 2
     for l in range(bound + 1):
         big_b = wl + l * (d + 1)
