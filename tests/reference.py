@@ -41,6 +41,10 @@ plethykit against.  The package itself calls none of them.
   reference for ``twist._least_lift``, which solves the twist equation
   B*(d + 2x) = A*(e + 2y) as a proportion: with c = (B*d - A*e)/2 the
   two are one equation.
+* ``one_pass_classes``: the classes of ``search`` grouped in one pass
+  that holds every instance's key until the enumeration ends, the
+  reference for ``search.enumerate_classes``, which keeps only each
+  key's hash and keys again the instances whose hash recurs.
 """
 
 from collections import Counter
@@ -50,9 +54,10 @@ from itertools import accumulate
 from math import gcd
 
 from plethykit.errors import InexactDivision, LengthExceedsDimension
-from plethykit.hookcontent import _SPAN, p_poly
-from plethykit.partition import Partition, b_statistic, canonical
-from plethykit.plethysm import PlethysmInstance, SLInstance
+from plethykit.hookcontent import _SPAN, p_poly, sl_key
+from plethykit.partition import Partition, b_statistic, canonical, partitions_of
+from plethykit.plethysm import PlethysmInstance, SLInstance, sl_isomorphic
+from plethykit.search import EquivalenceClass
 
 Cell = tuple[int, int]
 Poly = tuple[int, ...]
@@ -422,3 +427,23 @@ def _min_y_solution(a: int, b: int, c: int) -> tuple[int, int] | None:
             return None
         y += (c - a * y + a * b2 - 1) // (a * b2) * b2
     return (a * y - c) // b, y
+
+
+def one_pass_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
+    """``search.enumerate_classes`` as one pass that keys every instance
+    and groups all of them by their keys, without the instance cap."""
+    groups: dict[int | tuple[int, ...], list[tuple[int, Partition]]] = {}
+    for n in range(1, max_weight + 1):
+        for lam in partitions_of(n, max_d):
+            for d in range(len(lam), max_d + 1):
+                groups.setdefault(sl_key(lam, d), []).append((d, lam))
+    classes = []
+    for key, members in groups.items():
+        if len(members) >= 2:
+            members.sort()
+            instances = tuple(SLInstance._of(lam, d, key) for d, lam in members)
+            for inst in instances[1:]:  # the parity check of every SL "yes"
+                sl_isomorphic(instances[0], inst)
+            classes.append(EquivalenceClass(p_poly(key), instances))
+    classes.sort(key=lambda c: (len(c.poly), c.poly))
+    return classes

@@ -15,7 +15,7 @@ from plethykit.search import EquivalenceClass, classify_gl, enumerate_classes
 from plethykit.staircase import pairwise_sl_isomorphic
 from plethykit.twist import solve_twist
 
-from .reference import check_as_parsed, dual, normalize, p_of
+from .reference import check_as_parsed, dual, normalize, one_pass_classes, p_of
 from .test_cli import lines, run
 
 
@@ -95,7 +95,9 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_instances_are_grouped_by_their_own_key(monkeypatch):
-    # One key path: each enumerated instance builds its key once, the key
+    # One key path: each enumerated instance builds its key once for its
+    # hash, each of the 62 members of the 24 reported classes builds it
+    # once more to be grouped (no hash collides at 6/5), the key
     # sl_isomorphic compares as SLInstance.key, and each class's P is
     # expanded from that key, so sl_key is called nowhere else.
     built = []
@@ -109,9 +111,11 @@ def test_instances_are_grouped_by_their_own_key(monkeypatch):
     monkeypatch.setattr(plethysm, "sl_key", counting_sl_key)
     monkeypatch.setattr(hookcontent, "sl_key", counting_sl_key)
     monkeypatch.setattr(search, "sl_key", counting_sl_key)
-    enumerate_classes(6, 5)
+    classes = enumerate_classes(6, 5)
     instances = [(lam, d) for d in range(1, 6) for n in range(1, 7) for lam in partitions_of(n, d)]
-    assert sorted(built) == sorted(instances)
+    members = [(i.lam, i.d) for c in classes for i in c.members]
+    assert (len(instances), len(members)) == (97, 62)
+    assert sorted(built) == sorted(instances + members)
 
 
 def test_instances_are_built_for_reported_members_only(monkeypatch):
@@ -161,11 +165,12 @@ def test_class_members_built_unchecked_are_what_the_parser_builds():
 
 def test_each_partition_is_counted_once():
     # d is the inner loop, so the count memo behind sl_key counts each of
-    # the 28 partitions once and serves its other d: 97 instances.
+    # the 28 partitions once and serves its other d: 97 instances, and
+    # the 62 reported members keyed again are all served from it.
     hookcontent._block_counts.cache_clear()
     enumerate_classes(6, 5)
     info = hookcontent._block_counts.cache_info()
-    assert (info.misses, info.hits) == (28, 69)
+    assert (info.misses, info.hits) == (28, 69 + 62)
     assert info.currsize == 28  # every partition of the grid stays
 
 
@@ -179,10 +184,11 @@ def test_each_class_is_expanded_once():
 
 
 def test_enumeration_memory_stays_small():
-    # Every enumerated instance keeps its key until the classes are built,
-    # so the key's container bounds how far search can go.  The key, one
-    # int here, peaks at about 0.95 MiB, the flat tuple at about 1.0 and a
-    # frozenset of pairs at about 2.4.
+    # Every reported member keeps its key until the classes are built, so
+    # the key's container bounds how far search can go.  When every
+    # instance kept its key, the key, one int here, peaked at about
+    # 0.95 MiB, the flat tuple at about 1.0 and a frozenset of pairs at
+    # about 2.4.
     p_poly.cache_clear()
     tracemalloc.start()
     try:
@@ -191,6 +197,51 @@ def test_enumeration_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * 2**20
+
+
+def test_enumeration_memory_follows_the_reported_classes():
+    # Only the 8-byte hash of an instance's key outlives its pass, and
+    # only the 731 of 1,771 instances that are reported keep their
+    # keys.  A warm first call leaves the count memo holding all 268
+    # partitions, so the peak is the search's own: about 0.35 MiB, where
+    # holding every instance's key read about 0.59.
+    enumerate_classes(12, 10)
+    p_poly.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_classes(12, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * 2**20
+
+
+def test_enumerate_classes_matches_the_one_pass_reference():
+    for max_weight in range(11):
+        for max_d in range(9):
+            got, expected = enumerate_classes(max_weight, max_d), one_pass_classes(max_weight, max_d)
+            assert got == expected, (max_weight, max_d)
+            assert [[i.key for i in c.members] for c in got] == [[i.key for i in c.members] for c in expected]
+
+
+class Colliding(int):
+    """An int key whose hash is 0, so that every two keys collide."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_colliding_hashes_leave_the_classes_unchanged(monkeypatch):
+    # Every hash recurs, so every instance is keyed again, and only the
+    # full key separates the classes and drops the singletons.
+    expected = enumerate_classes(8, 6)
+    stdout = run("search", "--max-weight", "8", "--max-d", "6").stdout
+    assert len(expected) == 53
+    monkeypatch.setattr(search, "sl_key", lambda p, d: Colliding(sl_key(p, d)))
+    assert enumerate_classes(8, 6) == expected
+    result = run("search", "--max-weight", "8", "--max-d", "6")
+    assert result.exit_code == 0
+    assert result.stdout == stdout
 
 
 def test_enumeration_is_deterministic():
