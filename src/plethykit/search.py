@@ -18,6 +18,7 @@ like the instances of ``plethysm``.
 
 from array import array
 from collections import Counter
+from collections.abc import Iterator
 from itertools import combinations
 
 from .errors import BudgetExceeded
@@ -46,17 +47,23 @@ class EquivalenceClass(_Frozen):
         object.__setattr__(self, "members", members)
 
 
+def _partitions(max_weight: int, max_d: int) -> Iterator[Partition]:
+    """Every partition of weight 1 to max_weight with at most max_d
+    parts, by weight, in ``partitions_of``'s order within a weight."""
+    for n in range(1, max_weight + 1):
+        yield from partitions_of(n, max_d)
+
+
 def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     """Group all normalized instances within the bounds by ``sl_key``.
 
-    Two passes walk the instances as plain (d, lam) pairs, the second
-    in the reverse of the first's order.  The first keys every instance
-    and keeps only the key's hash, one slot of an ``array('q')`` per
-    instance; the second reads the array from its end beside its own
-    walk, keys again only the instances whose hash recurs and groups
-    them by the full key.  So the memory of a search follows the
-    members it reports, not the instances it enumerates, and the result
-    is the one-pass grouping's:
+    Two passes walk the instances as plain (d, lam) pairs in one
+    order.  The first keys every instance and keeps only the key's
+    hash, one slot of an ``array('q')`` per instance; the second reads
+    the array beside its own walk, keys again only the instances whose
+    hash recurs and groups them by the full key.  So the memory of a
+    search follows the members it reports, not the instances it
+    enumerates, and the result is the one-pass grouping's:
 
     * equal keys have equal hashes, so no member of a multi-member
       class is skipped;
@@ -76,32 +83,32 @@ def enumerate_classes(max_weight: int, max_d: int) -> list[EquivalenceClass]:
     one) and then lexicographically by P's coefficients.
 
     The partition is the outer loop and d the inner one, so the d-free
-    half of ``sl_key`` counts each partition's hooks and contents once
-    for all its d with d + p[0] < hookcontent._SPAN, whatever the size
-    of its memo; past that, each key comes from its corners.  The order
-    does not reach the output: members and classes are sorted after
-    grouping.
+    half of ``sl_key`` counts each partition's hooks and contents at
+    most once a pass for all its d with d + p[0] < hookcontent._SPAN,
+    whatever the size of its memo; past that, each key comes from its
+    corners.  The order does not reach the output: members and classes
+    are sorted after grouping.
 
     Raises BudgetExceeded, in the first pass and so before any class is
-    built, when there are more than INSTANCE_CAP instances, and
+    built, when there are more than INSTANCE_CAP instances: each
+    partition's d are counted before the first of them is keyed, so the
+    cap bounds the work however large max_d is.  Raises
     ConsistencyError when two members of a class have an odd
     weight-degree gap, which equal keys rule out.
     """
     hashes = array("q")
-    for n in range(1, max_weight + 1):
-        for lam in partitions_of(n, max_d):
-            for d in range(len(lam), max_d + 1):
-                hashes.append(hash(sl_key(lam, d)))
-            if len(hashes) > INSTANCE_CAP:
-                raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")
+    for lam in _partitions(max_weight, max_d):
+        if len(hashes) + max_d + 1 - len(lam) > INSTANCE_CAP:  # counts its d before keying them
+            raise BudgetExceeded(f"more than {INSTANCE_CAP} instances in bounds")
+        for d in range(len(lam), max_d + 1):
+            hashes.append(hash(sl_key(lam, d)))
     recurring = {h for h, count in Counter(hashes).items() if count > 1}
     groups: dict[int | tuple[int, ...], list[tuple[int, Partition]]] = {}
-    walk = reversed(hashes)  # backwards, so the count memo still holds the last partitions
-    for n in range(max_weight, 0, -1):
-        for lam in reversed([*partitions_of(n, max_d)]):
-            for d, h in zip(range(max_d, len(lam) - 1, -1), walk):
-                if h in recurring:
-                    groups.setdefault(sl_key(lam, d), []).append((d, lam))
+    walk = iter(hashes)
+    for lam in _partitions(max_weight, max_d):
+        for d, h in zip(range(len(lam), max_d + 1), walk):
+            if h in recurring:
+                groups.setdefault(sl_key(lam, d), []).append((d, lam))
     classes = []
     for key, members in groups.items():
         if len(members) >= 2:

@@ -554,3 +554,16 @@ def test_search_budget_is_invalid_input(monkeypatch):
     result = run("search", "--max-weight", "3", "--max-d", "3")
     assert result.exit_code == 2
     assert result.stdout == ""
+
+
+def test_search_budget_comes_before_the_keys_it_bounds(monkeypatch):
+    # The one partition (1,) has 10**12 degrees: the cap refuses them
+    # before the first is keyed, so a search past it fails at once.
+    def refusing_sl_key(p, d):
+        raise AssertionError(f"{p}, {d} keyed past the instance cap")
+
+    monkeypatch.setattr(search, "INSTANCE_CAP", 13)
+    monkeypatch.setattr(search, "sl_key", refusing_sl_key)
+    result = run("search", "--max-weight", "1", "--max-d", str(10**12))
+    assert result.exit_code == 2
+    assert result.stdout == ""
